@@ -1,9 +1,12 @@
-# Developer entry points. `make check` is the full gate: vet plus the
-# race-enabled test suite. CI and pre-commit should run exactly that.
+# Developer entry points. `make check` is the full gate: vet, the
+# race-enabled test suite, the replay-determinism check, and the
+# benchmark module's vet and tests. CI and pre-commit should run exactly
+# that. The focused race-* targets are strict subsets of `race`, kept
+# for quick local iteration on one plane.
 
 GO ?= go
 
-.PHONY: all build test vet race race-observability race-transport race-alerts race-store race-tenant race-tsdb race-qos replay-determinism check bench bench-readpath bench-telemetry bench-mux bench-tenant bench-archive bench-qos bench-paper clean
+.PHONY: all build test vet race race-observability race-transport race-alerts race-store race-tenant race-tsdb race-qos replay-determinism perfbench check bench bench-readpath bench-telemetry bench-mux bench-tenant bench-archive bench-qos bench-paper clean
 
 all: check
 
@@ -23,9 +26,11 @@ race:
 # trace recorder, metrics registry and decision-audit ring are the
 # packages mutated from every goroutine, so they fail first and fastest
 # under -race. The wire package rides along for the decode fuzz
-# (testing/quick) suite.
+# (testing/quick) suite, and the inspect plane's sweep, provider and
+# fuzz-corpus tests for how all of them are read.
 race-observability:
 	$(GO) test -race ./internal/telemetry/ ./internal/trace/ ./internal/metrics/ ./internal/wire/ ./internal/audit/
+	$(GO) test -race -run 'Inspect|Sweep|Meta' ./internal/pfs/
 
 # Focused race gate for the transport stack: the mux writer's write
 # token, the per-connection demux read loops, and the pool's shared-
@@ -44,9 +49,12 @@ race-store:
 # Focused race gate for the operational plane: the event-log ring is
 # written from every subsystem while dosasctl events tails it, and the
 # SLO engine's state machines advance on the sampler goroutine while
-# alert fetches read them. The OpenMetrics renderer reads all three.
+# alert fetches read them. The OpenMetrics renderer reads all three. The
+# follow-cursor regression runs ten times: a writer racing the tail is
+# what loses events.
 race-alerts:
 	$(GO) test -race ./internal/eventlog/ ./internal/slo/ ./internal/openmetrics/
+	$(GO) test -race -count=10 -run TestEventsFollowNeverSkips ./internal/pfs/
 
 # Focused race gate for the tenant attribution plane: the per-tenant
 # LRU table is bumped on every request from every connection goroutine
@@ -58,8 +66,8 @@ race-tenant:
 # Focused race gate for the telemetry archive: chunk files are appended
 # from the sampler tick while queries, pruning, and downsample sealing
 # walk the same state; the crash-reopen property tests churn it all
-# under -race. The range-query plane (wire codec fuzz, cluster sweep)
-# rides along.
+# under -race. The range-query plane (wire codec property checks,
+# cluster sweep) rides along.
 race-tsdb:
 	$(GO) test -race ./internal/tsdb/ ./internal/telemetry/ ./internal/wire/
 	$(GO) test -race -run 'TestQuery|TestFSQuery|TestIncidentReport|TestClusterReport|TestAggregateNodes' .
@@ -84,7 +92,13 @@ replay-determinism:
 	cmp /tmp/dosas-replay-a.json /tmp/dosas-replay-b.json
 	@echo "replay-determinism: OK (byte-identical reports)"
 
-check: vet race-observability race-transport race-store race-alerts race-tenant race-tsdb race-qos replay-determinism race
+# The benchmark (perfbench/) is its own Go module, so the root ./...
+# never compiles it: removing a public method it calls would pass every
+# other target. Vet and test it offline against this checkout.
+perfbench:
+	cd perfbench && GOFLAGS=-mod=mod GOPROXY=off $(GO) vet ./... && GOFLAGS=-mod=mod GOPROXY=off $(GO) test ./...
+
+check: vet race replay-determinism perfbench
 
 # Data-path microbenchmarks (fixed iteration count so runs compare
 # across commits) plus the window-vs-serial matrix (writes BENCH_pr2.json).

@@ -1,12 +1,11 @@
 package dosas
 
 import (
-	"fmt"
 	"sort"
 
 	"dosas/internal/audit"
 	"dosas/internal/core"
-	"dosas/internal/wire"
+	"dosas/internal/pfs"
 )
 
 // DecisionRecord is one recorded scheduler invocation on a storage node:
@@ -93,21 +92,27 @@ func EncodeReplayReports(reports []ReplayReport) ([]byte, error) {
 // DecisionLog returns storage node i's retained decision records in
 // chronological order.
 func (c *Cluster) DecisionLog(node int) ([]DecisionRecord, error) {
-	if node < 0 || node >= len(c.runtimes) {
-		return nil, fmt.Errorf("dosas: no storage node %d", node)
+	body, err := inspectNode(c, node, pfs.InspectDecisions, pfs.DecisionArgs{})
+	return body.Records, err
+}
+
+// decisionsOf merges every node's decision log chronologically and sums
+// how many records the nodes' rings overwrote.
+func decisionsOf(n nodes, limit, traceID uint64) (records []DecisionRecord, dropped uint64, err error) {
+	answers, err := pfs.Sweep(n.pool, n.targets, pfs.InspectDecisions, pfs.DecisionArgs{Limit: limit, TraceID: traceID})
+	for _, a := range pfs.Live(answers) {
+		records = append(records, a.Body.Records...)
+		dropped += a.Body.Dropped
 	}
-	return c.runtimes[node].Audit().Snapshot(), nil
+	sortDecisions(records)
+	return records, dropped, err
 }
 
 // DecisionLogAll merges every storage node's decision log into one
 // chronological timeline (ties broken by node, then per-node sequence).
 func (c *Cluster) DecisionLogAll() []DecisionRecord {
-	var out []DecisionRecord
-	for _, rt := range c.runtimes {
-		out = append(out, rt.Audit().Snapshot()...)
-	}
-	sortDecisions(out)
-	return out
+	records, _, _ := decisionsOf(c.nodes(), 0, 0)
+	return records
 }
 
 // DecisionLog sweeps every storage node of the connected cluster over
@@ -119,27 +124,7 @@ func (c *Cluster) DecisionLogAll() []DecisionRecord {
 // non-zero means the merged log is a suffix of the cluster's true
 // decision history.
 func (fs *FS) DecisionLog(limit uint64, traceID uint64) (records []DecisionRecord, dropped uint64, err error) {
-	for _, n := range fs.nodeAddrs() {
-		if n.role != "data" {
-			continue
-		}
-		resp, callErr := fs.pc.Pool().Call(n.addr, &wire.DecisionLogReq{Limit: limit, TraceID: traceID})
-		if callErr != nil {
-			continue
-		}
-		dl, ok := resp.(*wire.DecisionLogResp)
-		if !ok {
-			return records, dropped, fmt.Errorf("dosas: unexpected decision-log response %v", resp.Type())
-		}
-		recs, decErr := audit.DecodeRecords(dl.Records)
-		if decErr != nil {
-			return records, dropped, fmt.Errorf("dosas: %s: %w", n.name, decErr)
-		}
-		records = append(records, recs...)
-		dropped += dl.Dropped
-	}
-	sortDecisions(records)
-	return records, dropped, nil
+	return decisionsOf(fs.nodes(), limit, traceID)
 }
 
 // sortDecisions orders a multi-node record set by wall-clock time, with

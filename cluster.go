@@ -178,8 +178,9 @@ type Options struct {
 	EventsMaxBytes int64
 	// ArchiveDir, when set, gives every node a durable telemetry
 	// archive under ArchiveDir/<node>: each sampler tick is persisted
-	// to CRC-framed chunk files with downsampling tiers, served over
-	// RangeQueryReq and queried via Cluster.Query / dosasctl query.
+	// to CRC-framed chunk files with downsampling tiers, served as the
+	// "query" inspect kind and queried via Cluster.Query / dosasctl
+	// query.
 	// Requires telemetry (TelemetryTick >= 0).
 	ArchiveDir string
 	// ArchiveMaxBytes is each node archive's retention budget across
@@ -187,9 +188,9 @@ type Options struct {
 	// unbounded.
 	ArchiveMaxBytes int64
 	// DisableTenants turns per-tenant resource attribution off on every
-	// storage node: no usage table, no tenant.wait.share probe, and
-	// TenantStatsReq answers with an empty report. Used by the
-	// attribution-overhead A/B benchmark.
+	// storage node: no usage table, no tenant.wait.share probe, and no
+	// "tenants" inspect kind. Used by the attribution-overhead A/B
+	// benchmark.
 	DisableTenants bool
 	// TenantLimit caps each storage node's tenant table; past it the
 	// least-recently-active tenant folds into the "(evicted)" aggregate
@@ -453,20 +454,21 @@ func StartCluster(o Options) (*Cluster, error) {
 		// the history over the wire.
 		tele := newSampler(o.TelemetryTick)
 		// Likewise the decision audit ring: the runtime appends and
-		// resolves records, the server answers DecisionLogReq from it.
+		// resolves records, the server's inspect registry serves it.
 		alog := audit.NewLog(4096)
 		alog.SetNode(node)
 		// Events and the alert engine are shared the same way: the runtime
 		// emits lifecycle events and the sampler tick drives evaluation,
-		// while the server answers EventFetchReq/AlertFetchReq from them.
+		// while the server's inspect registry serves them.
 		ev, err := o.newEventLog(node)
 		if err != nil {
 			return nil, err
 		}
 		c.events = append(c.events, ev)
 		// The tenant table is shared the same way: the data server and
-		// runtime account usage into it, the server answers TenantStatsReq
-		// and the SLO annotation hook reads the dominant waiter from it.
+		// runtime account usage into it, the server's inspect registry
+		// serves it and the SLO annotation hook reads the dominant waiter
+		// from it.
 		var tab *tenant.Table
 		if !o.DisableTenants {
 			limit := o.TenantLimit
@@ -504,10 +506,10 @@ func StartCluster(o Options) (*Cluster, error) {
 				IOReservedCores: o.IOReservedCores,
 				Period:          o.EstimatorPeriod,
 			},
-			Pace:      o.Pace,
-			Metrics:   reg,
-			Trace:     tr,
-			Node:      node,
+			Pace:          o.Pace,
+			Metrics:       reg,
+			Trace:         tr,
+			Node:          node,
 			Telemetry:     tele,
 			Events:        ev,
 			Tenants:       tab,
@@ -598,13 +600,12 @@ func (c *Cluster) ConnectClient(o ClientOptions) (*FS, error) {
 // per arrival, scheduling decision, kernel start, interruption,
 // migration, and completion — why the node did what it did.
 func (c *Cluster) TraceDump(node int) (string, error) {
-	if node < 0 || node >= len(c.runtimes) {
-		return "", fmt.Errorf("dosas: no storage node %d", node)
-	}
-	var sb strings.Builder
-	if _, err := c.runtimes[node].Trace().WriteTo(&sb); err != nil {
+	body, err := inspectNode(c, node, pfs.InspectTrace, pfs.TraceArgs{})
+	if err != nil {
 		return "", err
 	}
+	var sb strings.Builder
+	trace.WriteText(&sb, body.Events, body.Dropped)
 	return sb.String(), nil
 }
 

@@ -67,7 +67,6 @@ import (
 	"dosas"
 	"dosas/internal/daemonflags"
 	"dosas/internal/pfs"
-	"dosas/internal/trace"
 	"dosas/internal/transport"
 	"dosas/internal/wire"
 )
@@ -426,7 +425,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("bad ID %q", args[1])
 		}
-		traceOne(dataAddrs, id)
+		traceOne(*meta, dataAddrs, id)
 	default:
 		usageExit()
 	}
@@ -502,36 +501,23 @@ func statsAll(meta string, dataAddrs []string, asJSON bool) {
 	pool := newCtlPool()
 	defer pool.Close()
 	type nodeStats struct {
-		Addr  string          `json:"addr"`
-		Role  string          `json:"role"`
-		Mode  string          `json:"mode,omitempty"`
-		Stats json.RawMessage `json:"stats"`
+		Addr  string              `json:"addr"`
+		Role  string              `json:"role"`
+		Mode  string              `json:"mode,omitempty"`
+		Stats dosas.StatsSnapshot `json:"stats"`
 	}
-	collected := make(map[string]nodeStats)
-	var order []string
-	fetch := func(fallbackName, addr string) {
-		resp, err := pool.Call(addr, &wire.StatsReq{})
-		if err != nil {
-			log.Printf("%s %s: unreachable: %v", fallbackName, addr, err)
-			return
+	answers, _ := pfs.Sweep(pool, pfs.Targets(meta, dataAddrs), pfs.InspectStats, pfs.NoArgs{})
+	for _, a := range answers {
+		if a.Err != nil {
+			log.Printf("%s %s: %v", a.Name, a.Addr, a.Err)
 		}
-		sr, ok := resp.(*wire.StatsResp)
-		if !ok {
-			log.Printf("%s %s: unexpected response %v", fallbackName, addr, resp.Type())
-			return
-		}
-		name := sr.Node
-		if name == "" {
-			name = fallbackName
-		}
-		collected[name] = nodeStats{Addr: addr, Role: sr.Role, Mode: sr.Mode, Stats: sr.Stats}
-		order = append(order, name)
 	}
-	fetch("meta", meta)
-	for i, addr := range dataAddrs {
-		fetch(fmt.Sprintf("data-%d", i), addr)
-	}
+	answers = pfs.Live(answers)
 	if asJSON {
+		collected := make(map[string]nodeStats, len(answers))
+		for _, a := range answers {
+			collected[a.Node] = nodeStats{Addr: a.Addr, Role: a.Role, Mode: a.Body.Mode, Stats: a.Body.Stats}
+		}
 		out, err := json.MarshalIndent(collected, "", "  ")
 		if err != nil {
 			log.Fatal(err)
@@ -539,19 +525,13 @@ func statsAll(meta string, dataAddrs []string, asJSON bool) {
 		fmt.Println(string(out))
 		return
 	}
-	for _, name := range order {
-		ns := collected[name]
-		head := fmt.Sprintf("%s (%s", name, ns.Role)
-		if ns.Mode != "" {
-			head += ", mode " + ns.Mode
+	for _, a := range answers {
+		head := fmt.Sprintf("%s (%s", a.Node, a.Role)
+		if a.Body.Mode != "" {
+			head += ", mode " + a.Body.Mode
 		}
-		fmt.Printf("%s) @ %s\n", head, ns.Addr)
-		var snap dosas.StatsSnapshot
-		if err := json.Unmarshal(ns.Stats, &snap); err != nil {
-			log.Printf("  bad stats payload: %v", err)
-			continue
-		}
-		printSnapshot(snap)
+		fmt.Printf("%s) @ %s\n", head, a.Addr)
+		printSnapshot(a.Body.Stats)
 	}
 }
 
@@ -577,37 +557,28 @@ func printSnapshot(s dosas.StatsSnapshot) {
 	}
 }
 
-// traceOne fetches one request's events from every storage node and
-// prints the stitched cross-node timeline. The ID is tried first as a
-// wire-level request id, then as a distributed trace id.
-func traceOne(dataAddrs []string, id uint64) {
+// traceOne fetches one request's events from every node that keeps a
+// trace ring and prints the stitched cross-node timeline. The ID is
+// tried first as a wire-level request id, then as a distributed trace
+// id.
+func traceOne(meta string, dataAddrs []string, id uint64) {
 	pool := newCtlPool()
 	defer pool.Close()
-	fetch := func(req *wire.TraceFetchReq) []dosas.TraceEvent {
+	fetch := func(args pfs.TraceArgs) []dosas.TraceEvent {
+		answers, _ := pfs.Sweep(pool, pfs.Targets(meta, dataAddrs), pfs.InspectTrace, args)
 		var sets [][]dosas.TraceEvent
-		for i, addr := range dataAddrs {
-			resp, err := pool.Call(addr, req)
-			if err != nil {
-				log.Printf("data[%d] %s: unreachable: %v", i, addr, err)
+		for _, a := range answers {
+			if a.Err != nil {
+				log.Printf("%s %s: %v", a.Name, a.Addr, a.Err)
 				continue
 			}
-			tr, ok := resp.(*wire.TraceFetchResp)
-			if !ok {
-				log.Printf("data[%d] %s: unexpected response %v", i, addr, resp.Type())
-				continue
-			}
-			evs, err := trace.DecodeEvents(tr.Events)
-			if err != nil {
-				log.Printf("data[%d] %s: bad trace payload: %v", i, addr, err)
-				continue
-			}
-			sets = append(sets, evs)
+			sets = append(sets, a.Body.Events)
 		}
 		return dosas.StitchTimeline(sets...)
 	}
-	evs := fetch(&wire.TraceFetchReq{ReqID: id})
+	evs := fetch(pfs.TraceArgs{ReqID: id})
 	if len(evs) == 0 {
-		evs = fetch(&wire.TraceFetchReq{TraceID: id})
+		evs = fetch(pfs.TraceArgs{TraceID: id})
 	}
 	if len(evs) == 0 {
 		log.Fatalf("no events recorded for id %d on any storage node", id)

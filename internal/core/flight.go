@@ -4,9 +4,9 @@ import (
 	"sort"
 	"time"
 
+	"dosas/internal/pfs"
 	"dosas/internal/telemetry"
 	"dosas/internal/trace"
-	"dosas/internal/wire"
 )
 
 // registerProbes wires the client's sampler probes. Runs once from
@@ -98,30 +98,16 @@ func summarizeParts(parts []PartInfo) string {
 }
 
 // stitchTimeline merges this trace's events from the client's own ring
-// with those fetched from every data server, ordered by wall-clock time
-// — the cross-node story of one request. Fetch errors skip that node
-// rather than failing the capture: a partial timeline from a degraded
-// cluster is exactly when the operator wants the bundle most.
+// with those the inspect sweep fetches from every node, ordered by
+// wall-clock time — the cross-node story of one request. Nodes that
+// fail are skipped rather than failing the capture: a partial timeline
+// from a degraded cluster is exactly when the operator wants the bundle
+// most.
 func (c *Client) stitchTimeline(traceID uint64) []trace.Event {
 	evs := c.cfg.Trace.HistoryTrace(traceID)
-	for i := 0; i < c.cfg.FS.NumDataServers(); i++ {
-		addr, err := c.cfg.FS.DataAddr(uint32(i))
-		if err != nil {
-			continue
-		}
-		resp, err := c.cfg.FS.Pool().Call(addr, &wire.TraceFetchReq{TraceID: traceID})
-		if err != nil {
-			continue
-		}
-		tf, ok := resp.(*wire.TraceFetchResp)
-		if !ok {
-			continue
-		}
-		remote, err := trace.DecodeEvents(tf.Events)
-		if err != nil {
-			continue
-		}
-		evs = append(evs, remote...)
+	answers, _ := pfs.Sweep(c.cfg.FS.Pool(), c.cfg.FS.Targets(), pfs.InspectTrace, pfs.TraceArgs{TraceID: traceID})
+	for _, a := range pfs.Live(answers) {
+		evs = append(evs, a.Body.Events...)
 	}
 	sort.SliceStable(evs, func(i, j int) bool { return evs[i].Time.Before(evs[j].Time) })
 	return evs

@@ -277,12 +277,23 @@ func (l *Log) writeSink(ev Event) {
 	}
 }
 
-// Snapshot returns retained events with Seq > sinceSeq and level >= min,
-// oldest first, at most limit (limit <= 0 means all). Use NextSeq-style
-// cursors from the last returned Seq to tail incrementally.
-func (l *Log) Snapshot(sinceSeq uint64, min Level, limit int) []Event {
+// Page is one consistent read of the ring: the matching events, the
+// sequence number the next event will get, and how many events the
+// ring has overwritten, all taken under one lock. Feeding NextSeq-1
+// back as the next Tail cursor therefore never skips an event: anything
+// logged after this read has Seq >= NextSeq.
+type Page struct {
+	Events  []Event `json:"events"`
+	NextSeq uint64  `json:"next_seq"`
+	Dropped uint64  `json:"dropped,omitempty"`
+}
+
+// Tail returns retained events with Seq > sinceSeq and level >= min,
+// oldest first, at most limit newest (limit <= 0 means all), together
+// with the resume cursor and drop count of the same instant.
+func (l *Log) Tail(sinceSeq uint64, min Level, limit int) Page {
 	if l == nil {
-		return nil
+		return Page{NextSeq: 1}
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -308,7 +319,12 @@ func (l *Log) Snapshot(sinceSeq uint64, min Level, limit int) []Event {
 	if limit > 0 && len(out) > limit {
 		out = out[len(out)-limit:]
 	}
-	return out
+	return Page{Events: out, NextSeq: l.seq + 1, Dropped: l.dropped}
+}
+
+// Snapshot returns the events of Tail(sinceSeq, min, limit).
+func (l *Log) Snapshot(sinceSeq uint64, min Level, limit int) []Event {
+	return l.Tail(sinceSeq, min, limit).Events
 }
 
 // NextSeq returns the sequence number the next event will get. Passing
@@ -333,8 +349,7 @@ func (l *Log) Dropped() uint64 {
 	return l.dropped
 }
 
-// EncodeEvents marshals events as the canonical JSON array carried by
-// EventFetchResp.
+// EncodeEvents marshals events as the canonical JSON array.
 func EncodeEvents(events []Event) ([]byte, error) {
 	if len(events) == 0 {
 		return []byte("[]"), nil

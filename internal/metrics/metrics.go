@@ -307,11 +307,11 @@ type HistogramStats struct {
 }
 
 // Snapshot is a consistent, JSON-encodable copy of a registry's state —
-// the structured export behind wire.StatsResp and dosasctl stats. Its
-// JSON encoding is deterministic: encoding/json emits map keys in sorted
-// order, so two snapshots of the same state encode byte-identically and
-// `dosasctl stats -json` output is diffable across runs (locked in by
-// TestSnapshotJSONDeterministic).
+// the structured export behind the "stats" inspect kind and dosasctl
+// stats. Its JSON encoding is deterministic: encoding/json emits map
+// keys in sorted order, so two snapshots of the same state encode
+// byte-identically and `dosasctl stats -json` output is diffable across
+// runs (locked in by TestSnapshotJSONDeterministic).
 type Snapshot struct {
 	Counters   map[string]int64          `json:"counters,omitempty"`
 	Gauges     map[string]int64          `json:"gauges,omitempty"`

@@ -82,9 +82,8 @@ func (c *Client) Close() { c.pool.Close() }
 // storage client) can issue their own RPCs over it.
 func (c *Client) Pool() *Pool { return c.pool }
 
-// MetaAddr returns the metadata server's address, for direct calls
-// through Pool (health sweeps, series fetches).
-func (c *Client) MetaAddr() string { return c.cfg.MetaAddr }
+// Targets lists the cluster's nodes for an inspect Sweep through Pool.
+func (c *Client) Targets() []Target { return Targets(c.cfg.MetaAddr, c.cfg.DataAddrs) }
 
 // DataAddr returns the address of data server idx.
 func (c *Client) DataAddr(idx uint32) (string, error) {
@@ -93,9 +92,6 @@ func (c *Client) DataAddr(idx uint32) (string, error) {
 	}
 	return c.cfg.DataAddrs[idx], nil
 }
-
-// NumDataServers returns the size of the configured data-server table.
-func (c *Client) NumDataServers() int { return len(c.cfg.DataAddrs) }
 
 // Create makes a new file. stripeSize and width of 0 take cluster defaults.
 func (c *Client) Create(name string, stripeSize uint32, width int) (*File, error) {

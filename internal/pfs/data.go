@@ -1,7 +1,6 @@
 package pfs
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -45,32 +44,34 @@ type DataConfig struct {
 	// Node is this server's identity in stats and trace exports (e.g.
 	// "data-0"). Optional.
 	Node string
-	// Trace is the node's lifecycle-event ring, served to operators via
-	// TraceFetchReq. Usually shared with the attached active runtime.
+	// Trace is the node's lifecycle-event ring, served as the "trace"
+	// inspect kind. Usually shared with the attached active runtime.
 	// Optional.
 	Trace *trace.Recorder
-	// Telemetry is the node's time-series sampler, served to operators
-	// via SeriesFetchReq. Usually shared with (and owned by) the attached
-	// active runtime. Optional.
+	// Telemetry is the node's time-series sampler, served as the
+	// "series" inspect kind. Usually shared with (and owned by) the
+	// attached active runtime. Optional.
 	Telemetry *telemetry.Sampler
-	// Audit is the node's scheduling-decision ring, served to operators
-	// via DecisionLogReq. Usually shared with (and written by) the
+	// Audit is the node's scheduling-decision ring, served as the
+	// "decisions" inspect kind. Usually shared with (and written by) the
 	// attached active runtime. Optional.
 	Audit *audit.Log
-	// Events is the node's structured event log, served to operators via
-	// EventFetchReq. Usually shared with the attached active runtime.
+	// Events is the node's structured event log, served as the "events"
+	// inspect kind. Usually shared with the attached active runtime.
 	// Optional.
 	Events *eventlog.Log
-	// SLO is the node's alert engine, served via AlertFetchReq and
-	// contributing readiness checks to HealthReq. Optional.
+	// SLO is the node's alert engine, served as the "alerts" inspect
+	// kind and contributing readiness checks to "health". Optional.
 	SLO *slo.Engine
 	// Tenants is the node's per-tenant usage table, fed by the normal
-	// I/O handlers and served via TenantStatsReq. Usually shared with the
-	// attached active runtime. Optional: nil disables attribution.
+	// I/O handlers and served as the "tenants" inspect kind. Usually
+	// shared with the attached active runtime. Optional: nil disables
+	// attribution.
 	Tenants *tenant.Table
-	// Archive is the node's durable telemetry archive, served via
-	// RangeQueryReq. Owned by the daemon wiring (it hooks the sampler
-	// and closes it); nil when the node runs without -archive-dir.
+	// Archive is the node's durable telemetry archive, served as the
+	// "query" inspect kind. Owned by the daemon wiring (it hooks the
+	// sampler and closes it); nil when the node runs without
+	// -archive-dir.
 	Archive *tsdb.Archive
 	// QoS, when non-nil, gates every read and write through a
 	// weighted-fair admission queue (see QoSGate). Nil disables
@@ -85,14 +86,8 @@ type DataServer struct {
 	store   Store
 	reg     *metrics.Registry
 	node    string
-	trace   *trace.Recorder
-	tele    *telemetry.Sampler
-	audit   *audit.Log
-	events  *eventlog.Log
-	slo     *slo.Engine
 	tenants *tenant.Table
-	archive *tsdb.Archive
-	started time.Time
+	inspect *Inspector
 	// active is the attached runtime (an ActiveHandler), behind an
 	// atomic: the telemetry sampler's qos.* probes read it from their
 	// own goroutine, and cluster wiring attaches the runtime after the
@@ -128,11 +123,10 @@ func NewDataServer(cfg DataConfig) (*DataServer, error) {
 		cfg.Metrics = metrics.NewRegistry()
 	}
 	ds := &DataServer{
-		store: cfg.Store, reg: cfg.Metrics, node: cfg.Node,
-		trace: cfg.Trace, tele: cfg.Telemetry, audit: cfg.Audit,
-		events: cfg.Events, slo: cfg.SLO, tenants: cfg.Tenants,
-		archive: cfg.Archive, started: time.Now(),
+		store: cfg.Store, reg: cfg.Metrics, node: cfg.Node, tenants: cfg.Tenants,
+		inspect: newInspector(cfg.Node, "data"),
 	}
+	ds.provideInspect(cfg)
 	ds.ranger, _ = cfg.Store.(RangeReader)
 	ds.zeroCopy = true
 	if cfg.QoS != nil {
@@ -247,137 +241,95 @@ func (ds *DataServer) Handle(msg wire.Message) (wire.Message, error) {
 		return nil, fmt.Errorf("%w: no active runtime attached", ErrUnsupported)
 	case *wire.LocalSizeReq:
 		return &wire.LocalSizeResp{Size: ds.store.Size(req.Handle)}, nil
-	case *wire.StatsReq:
-		return ds.stats()
-	case *wire.TraceFetchReq:
-		return ds.traceFetch(req)
-	case *wire.HealthReq:
-		return ds.health()
-	case *wire.SeriesFetchReq:
-		return serveSeries(ds.node, ds.tele, req)
-	case *wire.DecisionLogReq:
-		return ds.decisionLog(req)
-	case *wire.EventFetchReq:
-		return serveEvents(ds.node, ds.events, req)
-	case *wire.AlertFetchReq:
-		return serveAlerts(ds.node, ds.slo)
-	case *wire.TenantStatsReq:
-		return ds.tenantStats()
-	case *wire.RangeQueryReq:
-		return serveRangeQuery(ds.node, ds.archive, req)
+	case *wire.InspectReq:
+		return ds.inspect.serve(req)
 	default:
 		return nil, fmt.Errorf("%w: data server got %v", ErrUnsupported, msg.Type())
 	}
 }
 
-// health answers a HealthReq: the store is always checked, and an
-// attached active runtime contributes its per-resource checks (queue
-// saturation, estimator, memory). A plain data server — no runtime —
-// stays Ready: it serves normal I/O fine and clients already degrade
-// active requests to bounce.
-func (ds *DataServer) health() (wire.Message, error) {
-	checks := []telemetry.Check{{Name: "store", OK: true, Detail: "attached"}}
-	if hc, ok := ds.activeHandler().(healthChecker); ok {
-		checks = append(checks, hc.HealthChecks()...)
-	} else {
-		checks = append(checks, telemetry.Check{Name: "active", OK: true, Detail: "no runtime attached"})
-	}
-	// Firing alerts fail readiness: an operator looking at health sees
-	// which rule is breaching, not just a red light.
-	checks = append(checks, ds.slo.Checks()...)
-	if dropped := ds.tele.Dropped(); dropped > 0 {
-		checks = append(checks, telemetry.Check{
-			Name: "telemetry", OK: true,
-			Detail: fmt.Sprintf("%d ring samples overwritten", dropped),
+// Inspector returns the node's inspect registry.
+func (ds *DataServer) Inspector() *Inspector { return ds.inspect }
+
+// provideInspect registers the data node's inspect providers: stats and
+// health always, every other kind only when its source is attached.
+func (ds *DataServer) provideInspect(cfg DataConfig) {
+	in, started := ds.inspect, time.Now()
+	// The scheduling mode and per-resource health come from the active
+	// handler without importing core (which imports pfs).
+	provide(in, InspectStats, func(NoArgs) (StatsBody, error) {
+		// The frame-transport counters are atomics on the framing hot
+		// path, mirrored into the registry only when a snapshot is taken.
+		for name, v := range map[string]int64{
+			"wire.sendfile_bytes": ds.wireStats.SendfileBytes.Load(),
+			"wire.writev_calls":   ds.wireStats.WritevCalls.Load(),
+			"wire.copied_bytes":   ds.wireStats.CopiedBytes.Load(),
+		} {
+			if c := ds.reg.Counter(name); v > c.Value() {
+				c.Add(v - c.Value())
+			}
+		}
+		var body StatsBody
+		if m, ok := ds.activeHandler().(interface{ ModeName() string }); ok {
+			body.Mode = m.ModeName()
+		}
+		body.Stats = ds.reg.Snapshot()
+		return body, nil
+	})
+	// The store is always checked and an attached runtime adds its
+	// checks (queue saturation, estimator, memory). A plain data server
+	// stays ready: it serves normal I/O, and clients already degrade
+	// active requests to bounce.
+	provide(in, InspectHealth, func(NoArgs) (telemetry.HealthReport, error) {
+		checks := []telemetry.Check{{Name: "store", OK: true, Detail: "attached"}}
+		if hc, ok := ds.activeHandler().(interface{ HealthChecks() []telemetry.Check }); ok {
+			checks = append(checks, hc.HealthChecks()...)
+		} else {
+			checks = append(checks, telemetry.Check{Name: "active", OK: true, Detail: "no runtime attached"})
+		}
+		// Firing alerts fail readiness: an operator looking at health
+		// sees which rule is breaching, not just a red light.
+		checks = append(checks, cfg.SLO.Checks()...)
+		if dropped := cfg.Telemetry.Dropped(); dropped > 0 {
+			checks = append(checks, telemetry.Check{
+				Name: "telemetry", OK: true,
+				Detail: fmt.Sprintf("%d ring samples overwritten", dropped),
+			})
+		}
+		return healthReport(ds.node, "data", checks, started), nil
+	})
+	if tr := cfg.Trace; tr != nil {
+		provide(in, InspectTrace, func(q TraceArgs) (TraceBody, error) {
+			body := TraceBody{Dropped: tr.Dropped()}
+			switch {
+			case q.TraceID != 0:
+				body.Events = tr.HistoryTrace(q.TraceID)
+			case q.ReqID != 0:
+				body.Events = tr.History(q.ReqID)
+			default:
+				body.Events = tr.Snapshot()
+			}
+			return body, nil
 		})
 	}
-	return encodeHealth(telemetry.HealthReport{Node: ds.node, Role: "data", Checks: checks}, ds.started)
-}
-
-// stats answers a StatsReq with the node's full metric snapshot. The
-// scheduling mode is discovered from the active handler without importing
-// core (which imports pfs): any handler naming its mode qualifies.
-func (ds *DataServer) stats() (wire.Message, error) {
-	ds.SyncWireStats()
-	js, err := json.Marshal(ds.reg.Snapshot())
-	if err != nil {
-		return nil, fmt.Errorf("%w: encoding stats: %v", ErrInvalid, err)
+	if l := cfg.Audit; l != nil {
+		provide(in, InspectDecisions, func(q DecisionArgs) (DecisionBody, error) {
+			body := DecisionBody{Records: l.Snapshot(), Dropped: l.Dropped()}
+			if q.TraceID != 0 {
+				body.Records = audit.FilterTrace(body.Records, q.TraceID)
+			}
+			if q.Limit > 0 {
+				body.Records = audit.Last(body.Records, int(q.Limit))
+			}
+			return body, nil
+		})
 	}
-	mode := ""
-	if m, ok := ds.activeHandler().(interface{ ModeName() string }); ok {
-		mode = m.ModeName()
+	if tab := cfg.Tenants; tab != nil {
+		provide(in, InspectTenants, func(NoArgs) (TenantBody, error) {
+			return TenantBody{Evicted: tab.Evictions(), Usage: tab.Snapshot()}, nil
+		})
 	}
-	return &wire.StatsResp{Node: ds.node, Role: "data", Mode: mode, Stats: js}, nil
-}
-
-// traceFetch answers a TraceFetchReq with the node's retained trace
-// events, optionally filtered to one request id or one distributed trace.
-func (ds *DataServer) traceFetch(req *wire.TraceFetchReq) (wire.Message, error) {
-	var evs []trace.Event
-	switch {
-	case ds.trace == nil:
-		// No recorder attached: answer with an empty set rather than an
-		// error, so operators can sweep a mixed cluster.
-	case req.TraceID != 0:
-		evs = ds.trace.HistoryTrace(req.TraceID)
-	case req.ReqID != 0:
-		evs = ds.trace.History(req.ReqID)
-	default:
-		evs = ds.trace.Snapshot()
-	}
-	js, err := trace.EncodeEvents(evs)
-	if err != nil {
-		return nil, fmt.Errorf("%w: encoding trace: %v", ErrInvalid, err)
-	}
-	return &wire.TraceFetchResp{Node: ds.node, Events: js, Dropped: ds.trace.Dropped()}, nil
-}
-
-// tenantStats answers a TenantStatsReq with the node's per-tenant usage
-// table. A node with no table attached answers with an empty set rather
-// than an error, so operators can sweep a mixed cluster.
-func (ds *DataServer) tenantStats() (wire.Message, error) {
-	js, err := tenant.EncodeUsage(ds.tenants.Snapshot())
-	if err != nil {
-		return nil, fmt.Errorf("%w: encoding tenant stats: %v", ErrInvalid, err)
-	}
-	return &wire.TenantStatsResp{Node: ds.node, Evicted: ds.tenants.Evictions(), Usage: js}, nil
-}
-
-// decisionLog answers a DecisionLogReq with the node's retained
-// scheduling decisions. A node with no audit ring attached (plain data
-// server, static modes with recording disabled) answers with an empty
-// set rather than an error, so operators can sweep a mixed cluster.
-func (ds *DataServer) decisionLog(req *wire.DecisionLogReq) (wire.Message, error) {
-	records := ds.audit.Snapshot()
-	if req.TraceID != 0 {
-		records = audit.FilterTrace(records, req.TraceID)
-	}
-	if req.Limit > 0 {
-		records = audit.Last(records, int(req.Limit))
-	}
-	js, err := audit.EncodeRecords(records)
-	if err != nil {
-		return nil, fmt.Errorf("%w: encoding decision log: %v", ErrInvalid, err)
-	}
-	return &wire.DecisionLogResp{Node: ds.node, Records: js, Dropped: ds.audit.Dropped()}, nil
-}
-
-// SyncWireStats mirrors the frame-transport counters into the metrics
-// registry (wire.sendfile_bytes, wire.writev_calls, wire.copied_bytes).
-// The counters are atomics written on the framing hot path; mirroring
-// happens only when a snapshot is taken, keeping the hot path free of
-// registry lookups. The wire StatsReq handler calls it automatically;
-// in-process snapshot consumers (Cluster.Stats) call it directly.
-func (ds *DataServer) SyncWireStats() {
-	set := func(name string, v int64) {
-		c := ds.reg.Counter(name)
-		if d := v - c.Value(); d > 0 {
-			c.Add(d)
-		}
-	}
-	set("wire.sendfile_bytes", ds.wireStats.SendfileBytes.Load())
-	set("wire.writev_calls", ds.wireStats.WritevCalls.Load())
-	set("wire.copied_bytes", ds.wireStats.CopiedBytes.Load())
+	provideTelemetry(in, cfg.Telemetry, cfg.Events, cfg.SLO, cfg.Archive)
 }
 
 // PostWrite implements the pfs.PostWriter hook: a read or write stays

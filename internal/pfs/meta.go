@@ -1,7 +1,6 @@
 package pfs
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -41,20 +40,20 @@ type MetaConfig struct {
 	JournalPath string
 	// Metrics receives operation counters; optional.
 	Metrics *metrics.Registry
-	// Telemetry is the node's time-series sampler, served to operators
-	// via SeriesFetchReq. The metadata server registers its op-rate
+	// Telemetry is the node's time-series sampler, served as the
+	// "series" inspect kind. The metadata server registers its op-rate
 	// probes on it, starts it, and owns it: Close stops it. Optional.
 	Telemetry *telemetry.Sampler
-	// Events is the node's structured event log, served to operators via
-	// EventFetchReq. Startup and journal lifecycle are recorded on it.
+	// Events is the node's structured event log, served as the "events"
+	// inspect kind. Startup and journal lifecycle are recorded on it.
 	// Optional.
 	Events *eventlog.Log
-	// SLO is the node's alert engine, served via AlertFetchReq and
-	// contributing readiness checks to HealthReq. Optional.
+	// SLO is the node's alert engine, served as the "alerts" inspect
+	// kind and contributing readiness checks to "health". Optional.
 	SLO *slo.Engine
-	// Archive is the node's durable telemetry archive, served via
-	// RangeQueryReq. Owned by the daemon wiring; nil when the node runs
-	// without -archive-dir.
+	// Archive is the node's durable telemetry archive, served as the
+	// "query" inspect kind. Owned by the daemon wiring; nil when the
+	// node runs without -archive-dir.
 	Archive *tsdb.Archive
 	// QoS, when non-nil, admits namespace lookups (open/stat/list)
 	// through a weighted-fair gate on the metadata class, so one
@@ -72,9 +71,10 @@ const DefaultStripeSize = 64 << 10
 // create/open/stat/remove/list plus size tracking, with round-robin layout
 // assignment over the cluster's data servers.
 type MetaServer struct {
-	cfg  MetaConfig
-	reg  *metrics.Registry
-	gate *QoSGate // nil when QoS is disabled
+	cfg     MetaConfig
+	reg     *metrics.Registry
+	gate    *QoSGate // nil when QoS is disabled
+	inspect *Inspector
 
 	mu         sync.Mutex
 	byName     map[string]*FileRec
@@ -82,7 +82,6 @@ type MetaServer struct {
 	nextHandle uint64
 	journal    *journal
 	now        func() time.Time
-	started    time.Time
 }
 
 // NewMetaServer builds a metadata server, replaying the journal when one is
@@ -104,7 +103,7 @@ func NewMetaServer(cfg MetaConfig) (*MetaServer, error) {
 		byHandle:   make(map[uint64]*FileRec),
 		nextHandle: 1,
 		now:        time.Now,
-		started:    time.Now(),
+		inspect:    newInspector("meta", "meta"),
 	}
 	if cfg.QoS != nil {
 		m.gate = NewQoSGate(*cfg.QoS)
@@ -123,6 +122,7 @@ func NewMetaServer(cfg MetaConfig) (*MetaServer, error) {
 			"path", cfg.JournalPath, "files", fmt.Sprint(len(m.byName)))
 	}
 	m.registerProbes()
+	m.provideInspect()
 	cfg.Telemetry.Start()
 	cfg.Events.Info("meta", "namespace server started",
 		"data_servers", fmt.Sprint(cfg.NumDataServers))
@@ -208,57 +208,44 @@ func (m *MetaServer) Handle(msg wire.Message) (wire.Message, error) {
 		return m.list(req)
 	case *wire.SetSizeReq:
 		return m.setSize(req)
-	case *wire.StatsReq:
-		return m.stats()
-	case *wire.TraceFetchReq:
-		// The metadata server keeps no per-request trace ring; answer
-		// with an empty set so cluster-wide sweeps need no special case.
-		return &wire.TraceFetchResp{Node: "meta", Events: []byte("[]")}, nil
-	case *wire.HealthReq:
-		return m.health()
-	case *wire.SeriesFetchReq:
-		return serveSeries("meta", m.cfg.Telemetry, req)
-	case *wire.EventFetchReq:
-		return serveEvents("meta", m.cfg.Events, req)
-	case *wire.AlertFetchReq:
-		return serveAlerts("meta", m.cfg.SLO)
-	case *wire.RangeQueryReq:
-		return serveRangeQuery("meta", m.cfg.Archive, req)
+	case *wire.InspectReq:
+		return m.inspect.serve(req)
 	default:
 		return nil, fmt.Errorf("%w: metadata server got %v", ErrUnsupported, msg.Type())
 	}
 }
 
-// health answers a HealthReq with namespace readiness: the in-memory
-// tables are always live once construction succeeded, and the journal —
-// when configured — must still be open for mutations to be durable.
-func (m *MetaServer) health() (wire.Message, error) {
-	m.mu.Lock()
-	files := len(m.byName)
-	journaled := m.journal != nil
-	m.mu.Unlock()
-	checks := []telemetry.Check{
-		{Name: "namespace", OK: true, Detail: fmt.Sprintf("%d files", files)},
-	}
-	if m.cfg.JournalPath != "" {
-		checks = append(checks, telemetry.Check{
-			Name: "journal", OK: journaled,
-			Detail: m.cfg.JournalPath,
-		})
-	} else {
-		checks = append(checks, telemetry.Check{Name: "journal", OK: true, Detail: "volatile (no journal configured)"})
-	}
-	checks = append(checks, m.cfg.SLO.Checks()...)
-	return encodeHealth(telemetry.HealthReport{Node: "meta", Role: "meta", Checks: checks}, m.started)
-}
+// Inspector returns the node's inspect registry.
+func (m *MetaServer) Inspector() *Inspector { return m.inspect }
 
-// stats answers a StatsReq with the namespace server's metric snapshot.
-func (m *MetaServer) stats() (wire.Message, error) {
-	js, err := json.Marshal(m.reg.Snapshot())
-	if err != nil {
-		return nil, fmt.Errorf("%w: encoding stats: %v", ErrInvalid, err)
-	}
-	return &wire.StatsResp{Node: "meta", Role: "meta", Stats: js}, nil
+// provideInspect registers the metadata node's inspect providers. It
+// keeps no trace ring, decision log or tenant table, so those kinds
+// answer ErrUnsupported here.
+func (m *MetaServer) provideInspect() {
+	started := time.Now()
+	provide(m.inspect, InspectStats, func(NoArgs) (StatsBody, error) {
+		return StatsBody{Stats: m.reg.Snapshot()}, nil
+	})
+	// The in-memory tables are always live once construction succeeded;
+	// the journal, when configured, must still be open for mutations to
+	// be durable.
+	provide(m.inspect, InspectHealth, func(NoArgs) (telemetry.HealthReport, error) {
+		m.mu.Lock()
+		files := len(m.byName)
+		journaled := m.journal != nil
+		m.mu.Unlock()
+		checks := []telemetry.Check{
+			{Name: "namespace", OK: true, Detail: fmt.Sprintf("%d files", files)},
+		}
+		if m.cfg.JournalPath != "" {
+			checks = append(checks, telemetry.Check{Name: "journal", OK: journaled, Detail: m.cfg.JournalPath})
+		} else {
+			checks = append(checks, telemetry.Check{Name: "journal", OK: true, Detail: "volatile (no journal configured)"})
+		}
+		checks = append(checks, m.cfg.SLO.Checks()...)
+		return healthReport("meta", "meta", checks, started), nil
+	})
+	provideTelemetry(m.inspect, m.cfg.Telemetry, m.cfg.Events, m.cfg.SLO, m.cfg.Archive)
 }
 
 func (m *MetaServer) create(req *wire.CreateReq) (wire.Message, error) {

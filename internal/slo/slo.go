@@ -255,7 +255,7 @@ const (
 )
 
 // Alert is one rule's current status — the unit dosasctl alerts
-// displays and AlertFetchResp carries.
+// displays and the "alerts" inspect kind carries.
 type Alert struct {
 	Rule     string `json:"rule"`
 	Series   string `json:"series"`
@@ -629,8 +629,7 @@ func FormatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', 4, 64)
 }
 
-// EncodeAlerts marshals alerts as the canonical JSON array carried by
-// AlertFetchResp.
+// EncodeAlerts marshals alerts as the canonical JSON array.
 func EncodeAlerts(alerts []Alert) ([]byte, error) {
 	if len(alerts) == 0 {
 		return []byte("[]"), nil

@@ -12,7 +12,7 @@ type Check struct {
 }
 
 // HealthReport is a node's liveness plus per-resource readiness — the
-// decoded form of wire.HealthResp. Ready is the conjunction of all
+// body of the "health" inspect kind. Ready is the conjunction of all
 // checks: a node that answers at all is live, but a saturated queue or
 // missing Contention Estimator degrades it.
 type HealthReport struct {
@@ -47,8 +47,7 @@ func (h HealthReport) Failing() []string {
 	return out
 }
 
-// EncodeChecks marshals checks to the JSON payload carried in
-// wire.HealthResp.Checks.
+// EncodeChecks marshals checks to a JSON array.
 func EncodeChecks(checks []Check) ([]byte, error) {
 	if checks == nil {
 		checks = []Check{}

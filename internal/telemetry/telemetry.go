@@ -45,7 +45,7 @@ type Sample struct {
 }
 
 // Series is the retained history of one metric, oldest point first. It is
-// the JSON payload unit of wire.SeriesFetchResp.
+// the JSON payload unit of the "series" inspect kind.
 type Series struct {
 	Name   string  `json:"name"`
 	Points []Point `json:"points"`

@@ -75,8 +75,8 @@ type Stats struct {
 	lastWait uint64
 }
 
-// Usage is the JSON snapshot row served by TenantStatsResp and rendered
-// by dosasctl tenants.
+// Usage is the JSON snapshot row served by the "tenants" inspect kind
+// and rendered by dosasctl tenants.
 type Usage struct {
 	Tenant         string `json:"tenant"`
 	BytesRead      uint64 `json:"bytes_read,omitempty"`
@@ -146,8 +146,7 @@ func Merge(sets ...[]Usage) []Usage {
 	return out
 }
 
-// EncodeUsage marshals a usage snapshot to the JSON array carried by
-// wire.TenantStatsResp.
+// EncodeUsage marshals a usage snapshot to a JSON array.
 func EncodeUsage(rows []Usage) ([]byte, error) {
 	if rows == nil {
 		rows = []Usage{}

@@ -259,16 +259,23 @@ func (r *Recorder) Len() int {
 // WriteTo dumps the retained events as one line each, with a trailer
 // noting any events the ring evicted (an incomplete timeline).
 func (r *Recorder) WriteTo(w io.Writer) (int64, error) {
+	return WriteText(w, r.Snapshot(), r.Dropped())
+}
+
+// WriteText renders events one per line, noting how many older events
+// the ring dropped — the Recorder.WriteTo format for events fetched
+// from a node.
+func WriteText(w io.Writer, evs []Event, dropped uint64) (int64, error) {
 	var total int64
-	for _, e := range r.Snapshot() {
+	for _, e := range evs {
 		n, err := fmt.Fprintf(w, "%s%s\n", e.Time.Format("15:04:05.000"), FormatEvent(e))
 		total += int64(n)
 		if err != nil {
 			return total, err
 		}
 	}
-	if d := r.Dropped(); d > 0 {
-		n, err := fmt.Fprintf(w, "... %d older events dropped (ring wrapped)\n", d)
+	if dropped > 0 {
+		n, err := fmt.Fprintf(w, "... %d older events dropped (ring wrapped)\n", dropped)
 		total += int64(n)
 		if err != nil {
 			return total, err
@@ -300,7 +307,7 @@ func FormatEvent(e Event) string {
 }
 
 // WriteJSON dumps the retained events as one JSON array — the structured
-// sibling of WriteTo, and the payload format of wire.TraceFetchResp.
+// sibling of WriteTo.
 func (r *Recorder) WriteJSON(w io.Writer) error {
 	evs := r.Snapshot()
 	if evs == nil {

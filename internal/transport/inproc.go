@@ -58,9 +58,19 @@ func (n *Inproc) Dial(addr string) (net.Conn, error) {
 	client, server := Pipe(addr)
 	select {
 	case l.backlog <- server:
-		return client, nil
 	case <-l.done:
 		return nil, ErrClosed
+	}
+	// A Close racing the send may have drained the backlog before the
+	// conn landed in it; hang the conn up here rather than leave the
+	// dialer blocked on a peer that will never accept it.
+	select {
+	case <-l.done:
+		server.Close()
+		client.Close()
+		return nil, ErrClosed
+	default:
+		return client, nil
 	}
 }
 
@@ -87,10 +97,21 @@ func (l *inprocListener) Accept() (net.Conn, error) {
 	}
 }
 
+// Close also hangs up every dialed conn still waiting to be accepted,
+// so its dialer reads EOF instead of blocking forever, as a TCP peer
+// whose listener closed would be reset.
 func (l *inprocListener) Close() error {
 	l.once.Do(func() {
 		close(l.done)
 		l.net.unbind(l.addr)
+		for {
+			select {
+			case c := <-l.backlog:
+				c.Close()
+			default:
+				return
+			}
+		}
 	})
 	return nil
 }

@@ -99,6 +99,22 @@ func TestAcceptAfterCloseFails(t *testing.T) {
 	}
 }
 
+// A conn dialed but never accepted must be hung up when the listener
+// closes: its dialer reads EOF rather than blocking forever.
+func TestCloseHangsUpUnacceptedDials(t *testing.T) {
+	n := NewInproc()
+	l, _ := n.Listen("z")
+	c, err := n.Dial("z")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := c.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read on unaccepted conn after close = %v, want io.EOF", err)
+	}
+}
+
 // Property: any byte sequence survives a pipe transfer, under any chunking.
 func TestPipeDataIntegrityProperty(t *testing.T) {
 	f := func(seed int64, n uint16) bool {

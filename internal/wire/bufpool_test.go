@@ -151,8 +151,8 @@ func TestOwnCoversAllAliasingFields(t *testing.T) {
 		&ActiveReadReq{Op: "sum", Params: []byte("p"), ResumeState: []byte("s")},
 		&ActiveReadResp{Result: []byte("r"), State: []byte("st")},
 		&TransformReq{Op: "sum", Params: []byte("p")},
-		&StatsResp{Node: "n", Stats: []byte(`{}`)},
-		&TraceFetchResp{Node: "n", Events: []byte(`[]`)},
+		&InspectReq{Kind: "stats", Args: []byte(`{}`)},
+		&InspectResp{Node: "n", Role: "data", Body: []byte(`{}`)},
 	}
 	for _, m := range msgs {
 		raw := frameBytes(t, m)

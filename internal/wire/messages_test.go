@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"reflect"
 	"sync"
@@ -72,34 +73,11 @@ func TestAllMessagesRoundTrip(t *testing.T) {
 		&TransformResp{RequestID: 12, Written: 1 << 20},
 		&LocalSizeReq{Handle: 9},
 		&LocalSizeResp{Size: 1 << 30},
-		&StatsReq{},
-		&StatsResp{Node: "data-0", Role: "data", Mode: "dosas",
-			Stats: []byte(`{"counters":{"active.arrivals":3}}`)},
-		&TraceFetchReq{ReqID: 7, TraceID: 0xCAFE0001},
-		&TraceFetchResp{Node: "data-0", Events: []byte(`[]`), Dropped: 42},
-		&HealthReq{},
-		&HealthResp{Node: "data-0", Role: "data", Ready: false,
-			Checks: []byte(`[{"name":"queue","ok":false}]`), UptimeNano: 5e9},
-		&SeriesFetchReq{WindowNano: 2e9, Names: []string{"queue.depth", "bounce.rate"}},
-		&SeriesFetchResp{Node: "data-0", TickNano: 1e8,
-			Series: []byte(`[{"name":"queue.depth","points":[{"t":1,"v":2}]}]`)},
-		&DecisionLogReq{Limit: 32, TraceID: 0xCAFE0003},
-		&DecisionLogResp{Node: "data-0", Dropped: 6,
-			Records: []byte(`[{"seq":1,"solver":"maxgain","trigger":"admit"}]`)},
 		&HelloReq{MaxVersion: MuxVersion, MaxSegment: DefaultMuxSegment},
 		&HelloResp{Version: MuxVersion, MaxSegment: 64 << 10},
-		&EventFetchReq{SinceSeq: 17, Limit: 100, MinLevel: 2},
-		&EventFetchResp{Node: "data-0", NextSeq: 42, Dropped: 3,
-			Events: []byte(`[{"seq":1,"level":"warn","sub":"slo","msg":"alert pending"}]`)},
-		&AlertFetchReq{},
-		&AlertFetchResp{Node: "data-0",
-			Alerts: []byte(`[{"rule":"bounce-budget-burn","state":"firing"}]`)},
-		&TenantStatsReq{},
-		&TenantStatsResp{Node: "data-0", Evicted: 3,
-			Usage: []byte(`[{"tenant":"app-a","bytes_read":4096}]`)},
-		&RangeQueryReq{Name: "queue.depth", FromNano: -5e9, ToNano: 9e18, StepNano: 1e10},
-		&RangeQueryResp{Node: "data-0", EarliestNano: 7e9,
-			Series: []byte(`[{"name":"queue.depth","points":[{"t":1,"v":2,"m":3}]}]`)},
+		&InspectReq{Kind: "decisions", Args: []byte(`{"limit":32,"trace_id":51966}`)},
+		&InspectResp{Node: "data-0", Role: "data",
+			Body: []byte(`{"records":[{"seq":1,"solver":"maxgain"}],"dropped":6}`)},
 	}
 	seen := make(map[MsgType]bool)
 	for _, m := range msgs {
@@ -112,7 +90,7 @@ func TestAllMessagesRoundTrip(t *testing.T) {
 	// Every registered message type must be covered above, so new
 	// messages cannot ship without a round-trip test.
 	for tt := MsgType(1); tt < msgSentinel; tt++ {
-		if !seen[tt] {
+		if tt.Valid() && !seen[tt] {
 			t.Errorf("message type %v has no round-trip coverage", tt)
 		}
 	}
@@ -135,10 +113,6 @@ func TestOldFormatFramesDecode(t *testing.T) {
 		{&CancelReq{RequestID: 11, TraceID: 0xCAFE}, "TraceID"},
 		{&TransformReq{RequestID: 12, SrcHandle: 2, Offset: 64, Length: 1 << 20,
 			Op: "gaussian2d", Params: []byte{7}, DstHandle: 3, DstOffset: 64, TraceID: 0xCAFE}, "TraceID"},
-		{&TraceFetchResp{Node: "data-0", Events: []byte(`[]`), Dropped: 17}, "Dropped"},
-		{&HealthResp{Node: "data-0", Role: "data", Ready: true,
-			Checks: []byte(`[]`), UptimeNano: 123456789}, "UptimeNano"},
-		{&SeriesFetchResp{Node: "data-0", Series: []byte(`[]`), TickNano: 1e8, Dropped: 21}, "Dropped"},
 	}
 	for _, tc := range cases {
 		m := tc.m
@@ -235,47 +209,6 @@ func TestMsgTypeString(t *testing.T) {
 	}
 	if MsgInvalid.Valid() || !MsgPing.Valid() || msgSentinel.Valid() {
 		t.Error("Valid() boundaries wrong")
-	}
-}
-
-// TestDecisionLogCodecQuick property-checks the decision-log codecs over
-// arbitrary field values, including Records payloads that are not valid
-// JSON — the codec is payload-agnostic by design.
-func TestDecisionLogCodecQuick(t *testing.T) {
-	f := func(limit, trace, dropped uint64, node string, records []byte) bool {
-		req := roundTrip(t, &DecisionLogReq{Limit: limit, TraceID: trace}).(*DecisionLogReq)
-		if req.Limit != limit || req.TraceID != trace {
-			return false
-		}
-		in := &DecisionLogResp{Node: node, Records: records, Dropped: dropped}
-		resp := roundTrip(t, in).(*DecisionLogResp)
-		return resp.Node == node && resp.Dropped == dropped &&
-			bytes.Equal(resp.Records, records)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// SeriesFetchResp has gained two trailing optional fields over time
-// (TickNano, then Dropped); a frame from a peer predating both — the
-// new-format frame truncated by 16 — must still decode.
-func TestSeriesFetchRespTwoGenerationsOld(t *testing.T) {
-	m := &SeriesFetchResp{Node: "data-0", Series: []byte(`[]`), TickNano: 1e8, Dropped: 9}
-	var buf bytes.Buffer
-	if err := WriteMessage(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	old := append([]byte(nil), raw[:len(raw)-16]...)
-	binary.LittleEndian.PutUint32(old[0:4], uint32(len(old)-4))
-	got, err := ReadMessage(bytes.NewReader(old))
-	if err != nil {
-		t.Fatalf("two-generations-old frame rejected: %v", err)
-	}
-	resp := got.(*SeriesFetchResp)
-	if resp.Node != "data-0" || resp.TickNano != 0 || resp.Dropped != 0 {
-		t.Fatalf("decode = %+v, want zero TickNano/Dropped", resp)
 	}
 }
 
@@ -394,80 +327,63 @@ func TestTenantFieldMuxFraming(t *testing.T) {
 	}
 }
 
-// TestTenantStatsCodecQuick property-checks the tenant-stats codecs over
-// arbitrary field values, including Usage payloads that are not valid
-// JSON — like the other fetch pairs, the codec is payload-agnostic.
-func TestTenantStatsCodecQuick(t *testing.T) {
-	f := func(evicted uint64, node string, usage []byte) bool {
-		if _, ok := roundTrip(t, &TenantStatsReq{}).(*TenantStatsReq); !ok {
+// TestInspectCodecQuick property-checks the inspect pair over arbitrary
+// field values, including Args and Body payloads that are not valid
+// JSON: the codec is payload-agnostic, and argument validation belongs
+// to the serving node's provider.
+func TestInspectCodecQuick(t *testing.T) {
+	f := func(kind, node, role string, args, body []byte) bool {
+		req := roundTrip(t, &InspectReq{Kind: kind, Args: args}).(*InspectReq)
+		if req.Kind != kind || !bytes.Equal(req.Args, args) {
 			return false
 		}
-		resp := roundTrip(t, &TenantStatsResp{Node: node, Evicted: evicted, Usage: usage}).(*TenantStatsResp)
-		return resp.Node == node && resp.Evicted == evicted && bytes.Equal(resp.Usage, usage)
+		resp := roundTrip(t, &InspectResp{Node: node, Role: role, Body: body}).(*InspectResp)
+		return resp.Node == node && resp.Role == role && bytes.Equal(resp.Body, body)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestEventAlertCodecQuick property-checks the event/alert codecs over
-// arbitrary field values, including payloads that are not valid JSON —
-// like the decision log, the codec is payload-agnostic by design.
-func TestEventAlertCodecQuick(t *testing.T) {
-	f := func(since, limit, next, dropped uint64, minLevel uint8, node string, payload []byte) bool {
-		req := roundTrip(t, &EventFetchReq{SinceSeq: since, Limit: limit, MinLevel: minLevel}).(*EventFetchReq)
-		if req.SinceSeq != since || req.Limit != limit || req.MinLevel != minLevel {
-			return false
+// The numeric message codes are the wire format: this pins every
+// surviving code, including the hello pair that sits between two runs
+// of retired numbers, and checks that every retired number decodes as
+// an unknown type rather than as whatever now sits there.
+func TestMsgTypeNumbersPinned(t *testing.T) {
+	want := map[MsgType]uint16{
+		MsgError: 1, MsgPing: 2, MsgPong: 3,
+		MsgCreateReq: 4, MsgCreateResp: 5, MsgOpenReq: 6, MsgOpenResp: 7,
+		MsgStatReq: 8, MsgStatResp: 9, MsgRemoveReq: 10, MsgRemoveResp: 11,
+		MsgListReq: 12, MsgListResp: 13, MsgSetSizeReq: 14, MsgSetSizeResp: 15,
+		MsgReadReq: 16, MsgReadResp: 17, MsgWriteReq: 18, MsgWriteResp: 19,
+		MsgTruncReq: 20, MsgTruncResp: 21,
+		MsgActiveReadReq: 22, MsgActiveReadResp: 23, MsgProbeReq: 24, MsgProbeResp: 25,
+		MsgCancelReq: 26, MsgCancelResp: 27, MsgTransformReq: 28, MsgTransformResp: 29,
+		MsgLocalSizeReq: 30, MsgLocalSizeResp: 31,
+		MsgHelloReq: 42, MsgHelloResp: 43,
+		MsgInspectReq: 52, MsgInspectResp: 53,
+	}
+	for mt, n := range want {
+		if uint16(mt) != n {
+			t.Errorf("%v = %d, want %d", mt, uint16(mt), n)
 		}
-		eresp := roundTrip(t, &EventFetchResp{Node: node, Events: payload, NextSeq: next, Dropped: dropped}).(*EventFetchResp)
-		if eresp.Node != node || eresp.NextSeq != next || eresp.Dropped != dropped ||
-			!bytes.Equal(eresp.Events, payload) {
-			return false
+	}
+	live := 0
+	for n := uint16(1); n < uint16(msgSentinel); n++ {
+		if MsgType(n).Valid() {
+			live++
 		}
-		aresp := roundTrip(t, &AlertFetchResp{Node: node, Alerts: payload}).(*AlertFetchResp)
-		return aresp.Node == node && bytes.Equal(aresp.Alerts, payload)
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+	if live != len(want) {
+		t.Errorf("%d live message types, %d pinned: pin the new one", live, len(want))
 	}
-}
-
-// TestRangeQueryCodecQuick property-checks the range-query codec over
-// arbitrary field values, including negative windows and Series
-// payloads that are not valid JSON — like the other fetch pairs, the
-// codec is payload-agnostic.
-func TestRangeQueryCodecQuick(t *testing.T) {
-	f := func(name, node string, from, to, step, earliest int64, series []byte) bool {
-		req := roundTrip(t, &RangeQueryReq{Name: name, FromNano: from, ToNano: to, StepNano: step}).(*RangeQueryReq)
-		if req.Name != name || req.FromNano != from || req.ToNano != to || req.StepNano != step {
-			return false
+	for n := uint16(32); n <= 51; n++ {
+		if n == 42 || n == 43 {
+			continue
 		}
-		resp := roundTrip(t, &RangeQueryResp{Node: node, Series: series, EarliestNano: earliest}).(*RangeQueryResp)
-		return resp.Node == node && resp.EarliestNano == earliest && bytes.Equal(resp.Series, series)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// RangeQueryResp carries EarliestNano as a trailing optional field; a
-// frame from a peer predating it — the new-format frame truncated by
-// 8 — must still decode with the field zero.
-func TestRangeQueryRespOldPeerInterop(t *testing.T) {
-	m := &RangeQueryResp{Node: "data-0", Series: []byte(`[]`), EarliestNano: 7e9}
-	var buf bytes.Buffer
-	if err := WriteMessage(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	old := append([]byte(nil), raw[:len(raw)-8]...)
-	binary.LittleEndian.PutUint32(old[0:4], uint32(len(old)-4))
-	got, err := ReadMessage(bytes.NewReader(old))
-	if err != nil {
-		t.Fatalf("old-generation frame rejected: %v", err)
-	}
-	resp := got.(*RangeQueryResp)
-	if resp.Node != "data-0" || !bytes.Equal(resp.Series, []byte(`[]`)) || resp.EarliestNano != 0 {
-		t.Fatalf("decode = %+v, want zero EarliestNano", resp)
+		frame := []byte{2, 0, 0, 0, byte(n), byte(n >> 8)}
+		if _, err := ReadMessage(bytes.NewReader(frame)); !errors.Is(err, ErrUnknownType) {
+			t.Errorf("retired type %d: err = %v, want ErrUnknownType", n, err)
+		}
 	}
 }

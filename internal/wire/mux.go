@@ -66,7 +66,7 @@ const (
 var ErrMuxClosed = errors.New("wire: mux writer closed")
 
 // ClassOf maps a message type to its wire priority class: stripe-transfer
-// carriers are bulk, everything else (Ping, Probe, Cancel, Stats, Health,
+// carriers are bulk, everything else (Ping, Probe, Cancel, Inspect,
 // errors, metadata ops, ...) is control.
 func ClassOf(t MsgType) uint8 {
 	switch t {

@@ -41,17 +41,9 @@ func TestReadMessageSurvivesCorruptedFrames(t *testing.T) {
 				Params:    []byte{1, 2, 3},
 				TraceID:   rng.Uint64(),
 			},
-			&StatsResp{Node: "data-0", Role: "data", Mode: "dosas",
-				Stats: []byte(`{"counters":{"x":1}}`)},
-			&TraceFetchReq{ReqID: rng.Uint64(), TraceID: rng.Uint64()},
-			&HealthResp{Node: "data-0", Role: "data", Ready: true,
-				Checks: []byte(`[{"name":"queue","ok":true}]`), UptimeNano: rng.Int63()},
-			&SeriesFetchReq{WindowNano: rng.Int63(), Names: []string{"queue.depth"}},
-			&SeriesFetchResp{Node: "data-0", TickNano: rng.Int63(),
-				Series: []byte(`[{"name":"queue.depth","points":[{"t":1,"v":2}]}]`)},
-			&DecisionLogReq{Limit: rng.Uint64(), TraceID: rng.Uint64()},
-			&DecisionLogResp{Node: "data-0", Dropped: rng.Uint64(),
-				Records: []byte(`[{"seq":1,"solver":"maxgain","trigger":"admit"}]`)},
+			&InspectReq{Kind: "trace", Args: []byte(`{"trace_id":7}`)},
+			&InspectResp{Node: "data-0", Role: "data",
+				Body: []byte(`{"events":[{"seq":1,"kind":"arrive"}],"dropped":3}`)},
 		}
 		for _, msg := range msgs {
 			var buf bytes.Buffer

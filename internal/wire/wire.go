@@ -74,97 +74,61 @@ const (
 	MsgLocalSizeReq
 	MsgLocalSizeResp
 
-	// Observability: structured metrics and trace export.
-	MsgStatsReq
-	MsgStatsResp
-	MsgTraceFetchReq
-	MsgTraceFetchResp
-
-	// Telemetry: health probes and time-series history fetch.
-	MsgHealthReq
-	MsgHealthResp
-	MsgSeriesFetchReq
-	MsgSeriesFetchResp
-
-	// Decision audit: fetch the scheduler's decision log for offline
-	// explanation and counterfactual replay.
-	MsgDecisionLogReq
-	MsgDecisionLogResp
+	// 32–41 and 44–51 were the per-kind observability pairs (Stats,
+	// TraceFetch, Health, SeriesFetch, DecisionLog, then EventFetch,
+	// AlertFetch, TenantStats, RangeQuery), superseded by the Inspect
+	// pair. They stay reserved: a frame carrying one fails to decode as
+	// an unknown type.
 
 	// Connection-mode negotiation: upgrade to multiplexed framing (mux.go).
-	MsgHelloReq
-	MsgHelloResp
+	MsgHelloReq  MsgType = 42
+	MsgHelloResp MsgType = 43
 
-	// Operational plane: structured event tail and SLO alert fetch.
-	MsgEventFetchReq
-	MsgEventFetchResp
-	MsgAlertFetchReq
-	MsgAlertFetchResp
+	// Inspect plane: one pair for every kind of observability data a
+	// node serves (pfs.Inspector).
+	MsgInspectReq  MsgType = 52
+	MsgInspectResp MsgType = 53
 
-	// Tenant attribution plane: per-tenant usage fetch.
-	MsgTenantStatsReq
-	MsgTenantStatsResp
-
-	// Telemetry archive plane: durable range queries.
-	MsgRangeQueryReq
-	MsgRangeQueryResp
-
-	msgSentinel // keep last
+	msgSentinel MsgType = 54 // keep last
 )
 
 var msgNames = map[MsgType]string{
-	MsgInvalid:         "invalid",
-	MsgError:           "error",
-	MsgPing:            "ping",
-	MsgPong:            "pong",
-	MsgCreateReq:       "create.req",
-	MsgCreateResp:      "create.resp",
-	MsgOpenReq:         "open.req",
-	MsgOpenResp:        "open.resp",
-	MsgStatReq:         "stat.req",
-	MsgStatResp:        "stat.resp",
-	MsgRemoveReq:       "remove.req",
-	MsgRemoveResp:      "remove.resp",
-	MsgListReq:         "list.req",
-	MsgListResp:        "list.resp",
-	MsgSetSizeReq:      "setsize.req",
-	MsgSetSizeResp:     "setsize.resp",
-	MsgReadReq:         "read.req",
-	MsgReadResp:        "read.resp",
-	MsgWriteReq:        "write.req",
-	MsgWriteResp:       "write.resp",
-	MsgTruncReq:        "trunc.req",
-	MsgTruncResp:       "trunc.resp",
-	MsgActiveReadReq:   "activeread.req",
-	MsgActiveReadResp:  "activeread.resp",
-	MsgProbeReq:        "probe.req",
-	MsgProbeResp:       "probe.resp",
-	MsgCancelReq:       "cancel.req",
-	MsgCancelResp:      "cancel.resp",
-	MsgTransformReq:    "transform.req",
-	MsgTransformResp:   "transform.resp",
-	MsgLocalSizeReq:    "localsize.req",
-	MsgLocalSizeResp:   "localsize.resp",
-	MsgStatsReq:        "stats.req",
-	MsgStatsResp:       "stats.resp",
-	MsgTraceFetchReq:   "tracefetch.req",
-	MsgTraceFetchResp:  "tracefetch.resp",
-	MsgHealthReq:       "health.req",
-	MsgHealthResp:      "health.resp",
-	MsgSeriesFetchReq:  "seriesfetch.req",
-	MsgSeriesFetchResp: "seriesfetch.resp",
-	MsgDecisionLogReq:  "decisionlog.req",
-	MsgDecisionLogResp: "decisionlog.resp",
-	MsgHelloReq:        "hello.req",
-	MsgHelloResp:       "hello.resp",
-	MsgEventFetchReq:   "eventfetch.req",
-	MsgEventFetchResp:  "eventfetch.resp",
-	MsgAlertFetchReq:   "alertfetch.req",
-	MsgAlertFetchResp:  "alertfetch.resp",
-	MsgTenantStatsReq:  "tenantstats.req",
-	MsgTenantStatsResp: "tenantstats.resp",
-	MsgRangeQueryReq:   "rangequery.req",
-	MsgRangeQueryResp:  "rangequery.resp",
+	MsgInvalid:        "invalid",
+	MsgError:          "error",
+	MsgPing:           "ping",
+	MsgPong:           "pong",
+	MsgCreateReq:      "create.req",
+	MsgCreateResp:     "create.resp",
+	MsgOpenReq:        "open.req",
+	MsgOpenResp:       "open.resp",
+	MsgStatReq:        "stat.req",
+	MsgStatResp:       "stat.resp",
+	MsgRemoveReq:      "remove.req",
+	MsgRemoveResp:     "remove.resp",
+	MsgListReq:        "list.req",
+	MsgListResp:       "list.resp",
+	MsgSetSizeReq:     "setsize.req",
+	MsgSetSizeResp:    "setsize.resp",
+	MsgReadReq:        "read.req",
+	MsgReadResp:       "read.resp",
+	MsgWriteReq:       "write.req",
+	MsgWriteResp:      "write.resp",
+	MsgTruncReq:       "trunc.req",
+	MsgTruncResp:      "trunc.resp",
+	MsgActiveReadReq:  "activeread.req",
+	MsgActiveReadResp: "activeread.resp",
+	MsgProbeReq:       "probe.req",
+	MsgProbeResp:      "probe.resp",
+	MsgCancelReq:      "cancel.req",
+	MsgCancelResp:     "cancel.resp",
+	MsgTransformReq:   "transform.req",
+	MsgTransformResp:  "transform.resp",
+	MsgLocalSizeReq:   "localsize.req",
+	MsgLocalSizeResp:  "localsize.resp",
+	MsgHelloReq:       "hello.req",
+	MsgHelloResp:      "hello.resp",
+	MsgInspectReq:     "inspect.req",
+	MsgInspectResp:    "inspect.resp",
 }
 
 // String returns a human-readable name for the message type.
@@ -175,8 +139,9 @@ func (t MsgType) String() string {
 	return fmt.Sprintf("msgtype(%d)", uint16(t))
 }
 
-// Valid reports whether t is a known message type.
-func (t MsgType) Valid() bool { return t > MsgInvalid && t < msgSentinel }
+// Valid reports whether t is a known message type. Retired numbers
+// are not.
+func (t MsgType) Valid() bool { return New(t) != nil }
 
 // Message is implemented by every protocol message.
 type Message interface {
@@ -538,46 +503,14 @@ func New(t MsgType) Message {
 		return new(LocalSizeReq)
 	case MsgLocalSizeResp:
 		return new(LocalSizeResp)
-	case MsgStatsReq:
-		return new(StatsReq)
-	case MsgStatsResp:
-		return new(StatsResp)
-	case MsgTraceFetchReq:
-		return new(TraceFetchReq)
-	case MsgTraceFetchResp:
-		return new(TraceFetchResp)
-	case MsgHealthReq:
-		return new(HealthReq)
-	case MsgHealthResp:
-		return new(HealthResp)
-	case MsgSeriesFetchReq:
-		return new(SeriesFetchReq)
-	case MsgSeriesFetchResp:
-		return new(SeriesFetchResp)
-	case MsgDecisionLogReq:
-		return new(DecisionLogReq)
-	case MsgDecisionLogResp:
-		return new(DecisionLogResp)
 	case MsgHelloReq:
 		return new(HelloReq)
 	case MsgHelloResp:
 		return new(HelloResp)
-	case MsgEventFetchReq:
-		return new(EventFetchReq)
-	case MsgEventFetchResp:
-		return new(EventFetchResp)
-	case MsgAlertFetchReq:
-		return new(AlertFetchReq)
-	case MsgAlertFetchResp:
-		return new(AlertFetchResp)
-	case MsgTenantStatsReq:
-		return new(TenantStatsReq)
-	case MsgTenantStatsResp:
-		return new(TenantStatsResp)
-	case MsgRangeQueryReq:
-		return new(RangeQueryReq)
-	case MsgRangeQueryResp:
-		return new(RangeQueryResp)
+	case MsgInspectReq:
+		return new(InspectReq)
+	case MsgInspectResp:
+		return new(InspectResp)
 	default:
 		return nil
 	}

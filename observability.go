@@ -1,6 +1,7 @@
 package dosas
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -8,10 +9,10 @@ import (
 
 	"dosas/internal/eventlog"
 	"dosas/internal/metrics"
+	"dosas/internal/pfs"
 	"dosas/internal/slo"
 	"dosas/internal/telemetry"
 	"dosas/internal/trace"
-	"dosas/internal/wire"
 )
 
 // TraceEvent is one recorded lifecycle event: a span of a distributed
@@ -22,33 +23,89 @@ import (
 type TraceEvent = trace.Event
 
 // StatsSnapshot is a consistent, JSON-encodable copy of one node's
-// metric registry, as served by the StatsReq wire message.
+// metric registry, as served by the "stats" inspect kind.
 type StatsSnapshot = metrics.Snapshot
+
+// nodes is what one inspect sweep asks: an in-process cluster's node
+// registries (no pool; the sweep takes the providers' typed values, no
+// JSON), or a client's nodes over the wire.
+type nodes struct {
+	pool    *pfs.Pool
+	targets []pfs.Target
+}
+
+// nodes lists the cluster's node registries in sweep order: metadata
+// server first, then storage nodes in layout order.
+func (c *Cluster) nodes() nodes {
+	var n nodes
+	if c.meta != nil {
+		n.targets = append(n.targets, c.meta.Inspector().Target())
+	}
+	for _, ds := range c.dataServers {
+		n.targets = append(n.targets, ds.Inspector().Target())
+	}
+	return n
+}
+
+// nodes lists the connected cluster's nodes over the wire, in the same
+// order.
+func (fs *FS) nodes() nodes { return nodes{fs.pc.Pool(), fs.pc.Targets()} }
+
+// inspectNode asks storage node i alone for kind k.
+func inspectNode[A, B any](c *Cluster, i int, k pfs.Kind[A, B], args A) (B, error) {
+	var zero B
+	if i < 0 || i >= len(c.dataServers) {
+		return zero, fmt.Errorf("dosas: no storage node %d", i)
+	}
+	answers, err := pfs.Sweep(nil, []pfs.Target{c.dataServers[i].Inspector().Target()}, k, args)
+	if err != nil {
+		return zero, err
+	}
+	if len(answers) == 0 {
+		return zero, fmt.Errorf("dosas: storage node %d serves no %s", i, k.Name)
+	}
+	return answers[0].Body, nil
+}
 
 // TraceEvents returns storage node i's retained lifecycle events in
 // chronological order.
 func (c *Cluster) TraceEvents(node int) ([]TraceEvent, error) {
-	if node < 0 || node >= len(c.runtimes) {
-		return nil, fmt.Errorf("dosas: no storage node %d", node)
+	body, err := inspectNode(c, node, pfs.InspectTrace, pfs.TraceArgs{})
+	return body.Events, err
+}
+
+// statsOf collects every node's metric snapshot, keyed by node name.
+func statsOf(n nodes) (map[string]StatsSnapshot, error) {
+	answers, err := pfs.Sweep(n.pool, n.targets, pfs.InspectStats, pfs.NoArgs{})
+	out := make(map[string]StatsSnapshot, len(answers))
+	for _, a := range pfs.Live(answers) {
+		out[a.Node] = a.Body.Stats
 	}
-	return c.runtimes[node].Trace().Snapshot(), nil
+	return out, err
 }
 
 // Stats returns every node's metric snapshot, keyed by node name
 // ("meta", "data-0", …) — the cluster-wide aggregate view of what each
 // server has counted.
 func (c *Cluster) Stats() map[string]StatsSnapshot {
-	out := make(map[string]StatsSnapshot, len(c.runtimes)+1)
-	if c.meta != nil {
-		out["meta"] = c.meta.Metrics().Snapshot()
-	}
-	for i, rt := range c.runtimes {
-		if i < len(c.dataServers) {
-			c.dataServers[i].SyncWireStats()
-		}
-		out[fmt.Sprintf("data-%d", i)] = rt.Metrics().Snapshot()
-	}
+	out, _ := statsOf(c.nodes())
 	return out
+}
+
+// Stats fetches every node's metric snapshot over the wire, keyed by
+// the name each node reports. Unreachable nodes are skipped (they
+// surface in Health); failed answers are reported.
+func (fs *FS) Stats() (map[string]StatsSnapshot, error) { return statsOf(fs.nodes()) }
+
+// timelineOf stitches one distributed trace's events across every node
+// that keeps a trace ring.
+func timelineOf(n nodes, traceID uint64) ([]TraceEvent, error) {
+	answers, err := pfs.Sweep(n.pool, n.targets, pfs.InspectTrace, pfs.TraceArgs{TraceID: traceID})
+	sets := make([][]TraceEvent, 0, len(answers))
+	for _, a := range pfs.Live(answers) {
+		sets = append(sets, a.Body.Events)
+	}
+	return StitchTimeline(sets...), err
 }
 
 // TraceTimeline stitches the storage-side events of one distributed
@@ -56,11 +113,14 @@ func (c *Cluster) Stats() map[string]StatsSnapshot {
 // recorders are not visible to the cluster; merge FS.TraceEvents output
 // with StitchTimeline for the complete picture.
 func (c *Cluster) TraceTimeline(traceID uint64) []TraceEvent {
-	sets := make([][]TraceEvent, 0, len(c.runtimes))
-	for _, rt := range c.runtimes {
-		sets = append(sets, rt.Trace().HistoryTrace(traceID))
-	}
-	return StitchTimeline(sets...)
+	evs, _ := timelineOf(c.nodes(), traceID)
+	return evs
+}
+
+// TraceTimeline is Cluster.TraceTimeline over the wire. Unreachable
+// nodes are skipped; failed answers are reported.
+func (fs *FS) TraceTimeline(traceID uint64) ([]TraceEvent, error) {
+	return timelineOf(fs.nodes(), traceID)
 }
 
 // TraceEvents returns this client's retained lifecycle events (issues,
@@ -154,9 +214,10 @@ type DecisionMetrics struct {
 // DecisionMetrics aggregates scheduling-decision counters across all
 // storage nodes.
 func (c *Cluster) DecisionMetrics() DecisionMetrics {
-	snaps := make([]StatsSnapshot, 0, len(c.runtimes))
-	for _, rt := range c.runtimes {
-		snaps = append(snaps, rt.Metrics().Snapshot())
+	answers, _ := pfs.Sweep(nil, c.nodes().targets, pfs.InspectStats, pfs.NoArgs{})
+	snaps := make([]StatsSnapshot, 0, len(answers))
+	for _, a := range pfs.Live(answers) {
+		snaps = append(snaps, a.Body.Stats)
 	}
 	return AggregateDecisions(snaps)
 }
@@ -166,7 +227,7 @@ func (c *Cluster) DecisionMetrics() DecisionMetrics {
 type HealthCheck = telemetry.Check
 
 // HealthReport is one node's liveness and per-resource readiness, as
-// served by the HealthReq wire message. Ready is the conjunction of its
+// served by the "health" inspect kind. Ready is the conjunction of its
 // checks.
 type HealthReport = telemetry.HealthReport
 
@@ -191,60 +252,42 @@ func FormatSlowBundle(b SlowBundle) string { return telemetry.FormatBundle(b) }
 // another process's flight journal.
 func ReadSlowBundles(dir string) ([]SlowBundle, error) { return telemetry.ReadBundles(dir) }
 
-// decodeHealthResp unpacks a wire health response into the public
-// report form.
-func decodeHealthResp(hr *wire.HealthResp) (HealthReport, error) {
-	checks, err := telemetry.DecodeChecks(hr.Checks)
-	if err != nil {
-		return HealthReport{}, err
+// healthOf reports every node's health, in sweep order. A node that
+// could not be asked gets a synthetic not-ready report with a failing
+// "reachable" check rather than an error: a health sweep of a degraded
+// cluster must not itself fail.
+func healthOf(n nodes) []HealthReport {
+	answers, _ := pfs.Sweep(n.pool, n.targets, pfs.InspectHealth, pfs.NoArgs{})
+	out := make([]HealthReport, 0, len(answers))
+	for _, a := range answers {
+		if a.Err != nil {
+			a.Body = HealthReport{Node: a.Name, Role: a.Role,
+				Checks: []HealthCheck{{Name: "reachable", OK: false, Detail: a.Err.Error()}}}
+		}
+		out = append(out, a.Body)
 	}
-	return HealthReport{
-		Node: hr.Node, Role: hr.Role, Ready: hr.Ready,
-		Checks: checks, UptimeNano: hr.UptimeNano,
-	}, nil
-}
-
-// unreachableReport is the synthetic not-ready report a health sweep
-// records for a node that could not be asked.
-func unreachableReport(node, role string, err error) HealthReport {
-	return HealthReport{
-		Node: node, Role: role, Ready: false,
-		Checks: []HealthCheck{{Name: "reachable", OK: false, Detail: err.Error()}},
-	}
+	return out
 }
 
 // Health reports every node's liveness and per-resource readiness —
-// metadata server first, then storage nodes in layout order. It runs
-// in-process through the same handlers that serve HealthReq on the
-// wire, so the answer matches what dosasctl health sees.
-func (c *Cluster) Health() []HealthReport {
-	reports := make([]HealthReport, 0, len(c.dataServers)+1)
-	if c.meta != nil {
-		reports = append(reports, handlerHealth(c.meta, "meta", "meta"))
-	}
-	for i, ds := range c.dataServers {
-		reports = append(reports, handlerHealth(ds, fmt.Sprintf("data-%d", i), "data"))
-	}
-	return reports
-}
+// metadata server first, then storage nodes in layout order — through
+// the same providers that answer dosasctl health on the wire.
+func (c *Cluster) Health() []HealthReport { return healthOf(c.nodes()) }
 
-// handlerHealth asks one in-process server for its health report.
-func handlerHealth(h interface {
-	Handle(wire.Message) (wire.Message, error)
-}, node, role string) HealthReport {
-	resp, err := h.Handle(&wire.HealthReq{})
-	if err != nil {
-		return unreachableReport(node, role, err)
+// Health sweeps every node of the connected cluster over the wire and
+// reports liveness plus per-resource readiness. Unreachable nodes come
+// back as not-ready reports with a failing "reachable" check.
+func (fs *FS) Health() []HealthReport { return healthOf(fs.nodes()) }
+
+// seriesOf collects every node's telemetry history, keyed by the name
+// each node reports. Nodes without a sampler serve no series.
+func seriesOf(n nodes, window time.Duration, names []string) (map[string][]Series, error) {
+	answers, err := pfs.Sweep(n.pool, n.targets, pfs.InspectSeries, pfs.SeriesArgs{WindowNano: int64(window), Names: names})
+	out := make(map[string][]Series, len(answers))
+	for _, a := range pfs.Live(answers) {
+		out[a.Node] = a.Body.Series
 	}
-	hr, ok := resp.(*wire.HealthResp)
-	if !ok {
-		return unreachableReport(node, role, fmt.Errorf("dosas: unexpected health response %v", resp.Type()))
-	}
-	rep, err := decodeHealthResp(hr)
-	if err != nil {
-		return unreachableReport(node, role, err)
-	}
-	return rep
+	return out, err
 }
 
 // Series returns the trailing window of every node's telemetry history,
@@ -252,86 +295,16 @@ func handlerHealth(h interface {
 // (Options.TelemetryTick < 0) are omitted. window ≤ 0 means the full
 // retained history.
 func (c *Cluster) Series(window time.Duration) map[string][]Series {
-	out := make(map[string][]Series, len(c.runtimes)+1)
-	if c.metaTele != nil {
-		out["meta"] = c.metaTele.Snapshot(window)
-	}
-	for i, rt := range c.runtimes {
-		if s := rt.Telemetry(); s != nil {
-			out[fmt.Sprintf("data-%d", i)] = s.Snapshot(window)
-		}
-	}
-	return out
-}
-
-// nodeAddrs enumerates the cluster's nodes as (name, address) pairs in
-// sweep order: metadata server first, then storage nodes.
-func (fs *FS) nodeAddrs() []struct{ name, role, addr string } {
-	out := []struct{ name, role, addr string }{{"meta", "meta", fs.pc.MetaAddr()}}
-	for i := 0; i < fs.pc.NumDataServers(); i++ {
-		addr, err := fs.pc.DataAddr(uint32(i))
-		if err != nil {
-			continue
-		}
-		out = append(out, struct{ name, role, addr string }{fmt.Sprintf("data-%d", i), "data", addr})
-	}
-	return out
-}
-
-// Health sweeps every node of the connected cluster over the wire and
-// reports liveness plus per-resource readiness. Unreachable nodes come
-// back as not-ready reports with a failing "reachable" check rather
-// than an error — a health sweep of a degraded cluster must not itself
-// fail.
-func (fs *FS) Health() []HealthReport {
-	var out []HealthReport
-	for _, n := range fs.nodeAddrs() {
-		resp, err := fs.pc.Pool().Call(n.addr, &wire.HealthReq{})
-		if err != nil {
-			out = append(out, unreachableReport(n.name, n.role, err))
-			continue
-		}
-		hr, ok := resp.(*wire.HealthResp)
-		if !ok {
-			out = append(out, unreachableReport(n.name, n.role, fmt.Errorf("dosas: unexpected health response %v", resp.Type())))
-			continue
-		}
-		rep, err := decodeHealthResp(hr)
-		if err != nil {
-			out = append(out, unreachableReport(n.name, n.role, err))
-			continue
-		}
-		out = append(out, rep)
-	}
+	out, _ := seriesOf(c.nodes(), window, nil)
 	return out
 }
 
 // Series fetches the trailing window of every node's telemetry history
 // over the wire, keyed by node name. names, when given, restrict the
 // fetch to those series. Unreachable nodes are skipped (they surface in
-// Health); decode failures are reported.
+// Health); failed answers are reported.
 func (fs *FS) Series(window time.Duration, names ...string) (map[string][]Series, error) {
-	out := make(map[string][]Series)
-	for _, n := range fs.nodeAddrs() {
-		resp, err := fs.pc.Pool().Call(n.addr, &wire.SeriesFetchReq{WindowNano: int64(window), Names: names})
-		if err != nil {
-			continue
-		}
-		sf, ok := resp.(*wire.SeriesFetchResp)
-		if !ok {
-			return out, fmt.Errorf("dosas: unexpected series response %v", resp.Type())
-		}
-		series, err := telemetry.DecodeSeries(sf.Series)
-		if err != nil {
-			return out, fmt.Errorf("dosas: %s: %w", n.name, err)
-		}
-		name := sf.Node
-		if name == "" {
-			name = n.name
-		}
-		out[name] = series
-	}
-	return out, nil
+	return seriesOf(fs.nodes(), window, names)
 }
 
 // ClientSeries returns the trailing window of this client's own
@@ -419,31 +392,34 @@ func FormatAlerts(alerts []Alert) string { return slo.FormatAlerts(alerts) }
 // retained events at or above min, interleaved by time. limit > 0 keeps
 // only the newest limit events per node before merging.
 func (c *Cluster) Events(min EventLevel, limit int) []Event {
-	sets := make([][]Event, 0, len(c.events)+1)
-	if c.metaEvents != nil {
-		sets = append(sets, c.metaEvents.Snapshot(0, min, limit))
-	}
-	for _, ev := range c.events {
-		if ev != nil {
-			sets = append(sets, ev.Snapshot(0, min, limit))
-		}
+	pages, _ := eventsOf(c.nodes(), nil, min, limit)
+	sets := make([][]Event, 0, len(pages))
+	for _, p := range pages {
+		sets = append(sets, p.Events)
 	}
 	return MergeEvents(sets...)
+}
+
+// alertsOf collects every node's alert table, in sweep order.
+func alertsOf(n nodes) ([]Alert, error) {
+	answers, err := pfs.Sweep(n.pool, n.targets, pfs.InspectAlerts, pfs.NoArgs{})
+	var out []Alert
+	for _, a := range pfs.Live(answers) {
+		for _, al := range a.Body {
+			if al.Node == "" {
+				al.Node = a.Name
+			}
+			out = append(out, al)
+		}
+	}
+	return out, err
 }
 
 // Alerts returns every node's current alert table, metadata server
 // first, then storage nodes in layout order. Nodes without an engine
 // (telemetry disabled) contribute nothing.
 func (c *Cluster) Alerts() []Alert {
-	var out []Alert
-	if c.metaSLO != nil {
-		out = append(out, c.metaSLO.Alerts()...)
-	}
-	for _, eng := range c.engines {
-		if eng != nil {
-			out = append(out, eng.Alerts()...)
-		}
-	}
+	out, _ := alertsOf(c.nodes())
 	return out
 }
 
@@ -459,70 +435,41 @@ type EventsPage struct {
 	Dropped uint64
 }
 
+// eventsOf tails every node's event ring from its cursor in since.
+// Each node resumes from its own cursor, so each gets its own sweep.
+func eventsOf(n nodes, since map[string]uint64, min EventLevel, limit int) ([]EventsPage, error) {
+	var out []EventsPage
+	var errs []error
+	for _, t := range n.targets {
+		args := pfs.EventArgs{SinceSeq: since[t.Name], Limit: uint64(max(limit, 0)), MinLevel: uint8(min)}
+		answers, err := pfs.Sweep(n.pool, []pfs.Target{t}, pfs.InspectEvents, args)
+		errs = append(errs, err)
+		for _, a := range pfs.Live(answers) {
+			out = append(out, EventsPage{Node: a.Name, Events: a.Body.Events, NextSeq: a.Body.NextSeq, Dropped: a.Body.Dropped})
+		}
+	}
+	return out, errors.Join(errs...)
+}
+
 // Events fetches each node's retained events over the wire. since maps
 // node name to the sequence cursor returned by a previous sweep (nil or
 // a missing key fetches from the start of the ring); min filters by
 // level and limit > 0 keeps only the newest limit events per node.
-// Unreachable nodes and nodes predating the event plane are skipped
-// (they surface in Health); decode failures are reported.
+// Unreachable nodes are skipped (they surface in Health); failed
+// answers are reported. Each page's cursor is read in the same instant
+// as its events, so a follow loop feeding NextSeq-1 back never skips
+// one.
 func (fs *FS) Events(since map[string]uint64, min EventLevel, limit int) ([]EventsPage, error) {
-	var out []EventsPage
-	for _, n := range fs.nodeAddrs() {
-		req := &wire.EventFetchReq{MinLevel: uint8(min), Limit: uint64(limit)}
-		if since != nil {
-			req.SinceSeq = since[n.name]
-		}
-		resp, err := fs.pc.Pool().Call(n.addr, req)
-		if err != nil {
-			continue
-		}
-		ef, ok := resp.(*wire.EventFetchResp)
-		if !ok {
-			return out, fmt.Errorf("dosas: unexpected event response %v", resp.Type())
-		}
-		events, err := eventlog.DecodeEvents(ef.Events)
-		if err != nil {
-			return out, fmt.Errorf("dosas: %s: %w", n.name, err)
-		}
-		// Key the page by the client layout name — the same key a
-		// caller's since map uses — so resume cursors always match even
-		// if the daemon was configured with a different node name. The
-		// events themselves carry the server-reported name for display.
-		out = append(out, EventsPage{Node: n.name, Events: events, NextSeq: ef.NextSeq, Dropped: ef.Dropped})
-	}
-	return out, nil
+	return eventsOf(fs.nodes(), since, min, limit)
 }
 
 // Alerts fetches every node's current alert table over the wire, in
-// sweep order. Unreachable nodes and nodes predating the alert plane
-// are skipped (they surface in Health); decode failures are reported.
-func (fs *FS) Alerts() ([]Alert, error) {
-	var out []Alert
-	for _, n := range fs.nodeAddrs() {
-		resp, err := fs.pc.Pool().Call(n.addr, &wire.AlertFetchReq{})
-		if err != nil {
-			continue
-		}
-		af, ok := resp.(*wire.AlertFetchResp)
-		if !ok {
-			return out, fmt.Errorf("dosas: unexpected alert response %v", resp.Type())
-		}
-		alerts, err := slo.DecodeAlerts(af.Alerts)
-		if err != nil {
-			return out, fmt.Errorf("dosas: %s: %w", n.name, err)
-		}
-		for i := range alerts {
-			if alerts[i].Node == "" {
-				alerts[i].Node = n.name
-			}
-		}
-		out = append(out, alerts...)
-	}
-	return out, nil
-}
+// sweep order. Unreachable nodes are skipped (they surface in Health);
+// failed answers are reported.
+func (fs *FS) Alerts() ([]Alert, error) { return alertsOf(fs.nodes()) }
 
 // AggregateDecisions computes cluster-wide decision metrics from
-// per-node snapshots (local registries or StatsResp payloads alike).
+// per-node snapshots (local registries or swept stats alike).
 func AggregateDecisions(snaps []StatsSnapshot) DecisionMetrics {
 	var m DecisionMetrics
 	var errSum float64

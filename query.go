@@ -5,9 +5,7 @@ import (
 	"sort"
 	"time"
 
-	"dosas/internal/telemetry"
-	"dosas/internal/tsdb"
-	"dosas/internal/wire"
+	"dosas/internal/pfs"
 )
 
 // RangeQuery parameterises a durable telemetry range query against the
@@ -50,18 +48,6 @@ func (q RangeQuery) stepNano() int64 {
 	return 0
 }
 
-// window resolves the query bounds against the current time.
-func (q RangeQuery) window(now time.Time) (fromNano, untilNano int64) {
-	if !q.From.IsZero() {
-		fromNano = q.From.UnixNano()
-	}
-	untilNano = now.UnixNano()
-	if !q.Until.IsZero() {
-		untilNano = q.Until.UnixNano()
-	}
-	return fromNano, untilNano
-}
-
 // validAggs names the cross-node aggregation functions Query accepts.
 var validAggs = map[string]bool{"": true, "avg": true, "min": true, "max": true, "sum": true, "last": true}
 
@@ -70,9 +56,9 @@ type NodeSeries struct {
 	Node   string        `json:"node"`
 	Points []SeriesPoint `json:"points,omitempty"`
 	// EarliestNano is the node archive's retention horizon: samples
-	// older than this have been pruned (0 when the archive is empty or
-	// the node predates the archive plane). A query window reaching
-	// before it is answered as completely as retention allows.
+	// older than this have been pruned (0 when the archive is empty). A
+	// query window reaching before it is answered as completely as
+	// retention allows.
 	EarliestNano int64 `json:"earliest,omitempty"`
 }
 
@@ -82,8 +68,8 @@ type NodeSeries struct {
 type QueryResult struct {
 	Name string `json:"name"`
 	// Nodes holds each swept node's step-aligned series. Nodes running
-	// without an archive answer with no points; unreachable nodes are
-	// absent entirely (they surface in Health).
+	// without an archive and unreachable nodes are absent (the latter
+	// surface in Health).
 	Nodes []NodeSeries `json:"nodes"`
 	// Agg and Aggregated carry the cross-node merge when requested.
 	Agg        string        `json:"agg,omitempty"`
@@ -149,82 +135,42 @@ func aggregateNodes(nodes []NodeSeries, agg string) []SeriesPoint {
 	return out
 }
 
-// Query answers a range query from the cluster's node archives
-// in-process — the durable counterpart of Series. It runs through the
-// same reduction the wire path uses, so the answer matches what
-// dosasctl query sees.
-func (c *Cluster) Query(q RangeQuery) (QueryResult, error) {
+// queryOf sweeps every node's durable archive and assembles the
+// range-query answer from the nodes that replied.
+func queryOf(n nodes, q RangeQuery) (QueryResult, error) {
 	if !validAggs[q.Agg] {
 		return QueryResult{}, fmt.Errorf("dosas: unknown aggregation %q (want avg, min, max, sum or last)", q.Agg)
 	}
-	fromNano, untilNano := q.window(time.Now())
+	args := pfs.QueryArgs{Name: q.Name, ToNano: time.Now().UnixNano(), StepNano: q.stepNano()}
+	if !q.From.IsZero() {
+		args.FromNano = q.From.UnixNano()
+	}
+	if !q.Until.IsZero() {
+		args.ToNano = q.Until.UnixNano()
+	}
+	answers, err := pfs.Sweep(n.pool, n.targets, pfs.InspectQuery, args)
 	res := QueryResult{Name: q.Name, Agg: q.Agg}
-	type src struct {
-		node string
-		a    *tsdb.Archive
-	}
-	srcs := []src{{"meta", c.metaArchive}}
-	for i, a := range c.archives {
-		srcs = append(srcs, src{fmt.Sprintf("data-%d", i), a})
-	}
-	for _, s := range srcs {
-		if q.Node != "" && q.Node != s.node {
-			continue
-		}
-		points, err := s.a.Query(q.Name, fromNano, untilNano)
-		if err != nil {
-			return res, fmt.Errorf("dosas: %s: %w", s.node, err)
-		}
-		points = telemetry.Downsample(points, q.stepNano())
-		res.Nodes = append(res.Nodes, NodeSeries{Node: s.node, Points: points, EarliestNano: s.a.Earliest()})
-	}
-	res.Aggregated = aggregateNodes(res.Nodes, q.Agg)
-	return res, nil
-}
-
-// Query sweeps every node's durable telemetry archive over the wire and
-// assembles the range-query answer. Unreachable nodes and nodes
-// predating the archive plane are skipped for a deterministic partial
-// result (they surface in Health); decode failures are reported.
-func (fs *FS) Query(q RangeQuery) (QueryResult, error) {
-	if !validAggs[q.Agg] {
-		return QueryResult{}, fmt.Errorf("dosas: unknown aggregation %q (want avg, min, max, sum or last)", q.Agg)
-	}
-	fromNano, untilNano := q.window(time.Now())
-	res := QueryResult{Name: q.Name, Agg: q.Agg}
-	for _, n := range fs.nodeAddrs() {
-		resp, err := fs.pc.Pool().Call(n.addr, &wire.RangeQueryReq{
-			Name: q.Name, FromNano: fromNano, ToNano: untilNano, StepNano: q.stepNano(),
-		})
-		if err != nil {
-			continue
-		}
-		rq, ok := resp.(*wire.RangeQueryResp)
-		if !ok {
-			return res, fmt.Errorf("dosas: unexpected range-query response %v", resp.Type())
-		}
-		series, err := telemetry.DecodeSeries(rq.Series)
-		if err != nil {
-			return res, fmt.Errorf("dosas: %s: %w", n.name, err)
-		}
-		name := rq.Node
-		if name == "" {
-			name = n.name
-		}
+	for _, a := range pfs.Live(answers) {
 		// The filter accepts either the client-side layout name or the
 		// name the node answered with — daemons report their configured
 		// identity ("data@host:port"), which is what query output shows.
-		if q.Node != "" && q.Node != n.name && q.Node != name {
+		if q.Node != "" && q.Node != a.Name && q.Node != a.Node {
 			continue
 		}
-		ns := NodeSeries{Node: name, EarliestNano: rq.EarliestNano}
-		for _, s := range series {
-			if s.Name == q.Name {
-				ns.Points = s.Points
-			}
-		}
-		res.Nodes = append(res.Nodes, ns)
+		res.Nodes = append(res.Nodes, NodeSeries{Node: a.Node, Points: a.Body.Points, EarliestNano: a.Body.EarliestNano})
 	}
 	res.Aggregated = aggregateNodes(res.Nodes, q.Agg)
-	return res, nil
+	return res, err
 }
+
+// Query answers a range query from the cluster's node archives
+// in-process — the durable counterpart of Series. It runs the same
+// providers the wire path does, so the answer matches what dosasctl
+// query sees.
+func (c *Cluster) Query(q RangeQuery) (QueryResult, error) { return queryOf(c.nodes(), q) }
+
+// Query sweeps every node's durable telemetry archive over the wire and
+// assembles the range-query answer. Unreachable nodes and nodes without
+// an archive are skipped for a deterministic partial result (the former
+// surface in Health); failed answers are reported.
+func (fs *FS) Query(q RangeQuery) (QueryResult, error) { return queryOf(fs.nodes(), q) }

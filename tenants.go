@@ -6,8 +6,8 @@ import (
 	"strings"
 	"time"
 
+	"dosas/internal/pfs"
 	"dosas/internal/tenant"
-	"dosas/internal/wire"
 )
 
 // TenantUsage is one tenant's cumulative resource consumption on one
@@ -28,54 +28,28 @@ type TenantReport struct {
 	Usage   []TenantUsage `json:"usage"`
 }
 
+// tenantsOf collects every node's tenant table, in sweep order.
+func tenantsOf(n nodes) ([]TenantReport, error) {
+	answers, err := pfs.Sweep(n.pool, n.targets, pfs.InspectTenants, pfs.NoArgs{})
+	var out []TenantReport
+	for _, a := range pfs.Live(answers) {
+		out = append(out, TenantReport{Node: a.Node, Evicted: a.Body.Evicted, Usage: a.Body.Usage})
+	}
+	return out, err
+}
+
 // Tenants returns every storage node's tenant attribution snapshot,
 // in layout order. Empty when the cluster was started with
 // Options.DisableTenants.
 func (c *Cluster) Tenants() []TenantReport {
-	var out []TenantReport
-	for i, tab := range c.tenantTables {
-		if tab == nil {
-			continue
-		}
-		out = append(out, TenantReport{
-			Node:    fmt.Sprintf("data-%d", i),
-			Evicted: tab.Evictions(),
-			Usage:   tab.Snapshot(),
-		})
-	}
+	out, _ := tenantsOf(c.nodes())
 	return out
 }
 
 // Tenants fetches every storage node's tenant attribution snapshot over
-// the wire, in sweep order. Unreachable nodes and nodes predating the
-// tenant plane are skipped (they surface in Health); decode failures
-// are reported.
-func (fs *FS) Tenants() ([]TenantReport, error) {
-	var out []TenantReport
-	for _, n := range fs.nodeAddrs() {
-		if n.role != "data" {
-			continue // only storage nodes account tenants
-		}
-		resp, err := fs.pc.Pool().Call(n.addr, &wire.TenantStatsReq{})
-		if err != nil {
-			continue
-		}
-		ts, ok := resp.(*wire.TenantStatsResp)
-		if !ok {
-			return out, fmt.Errorf("dosas: unexpected tenant response %v", resp.Type())
-		}
-		usage, err := tenant.DecodeUsage(ts.Usage)
-		if err != nil {
-			return out, fmt.Errorf("dosas: %s: %w", n.name, err)
-		}
-		node := ts.Node
-		if node == "" {
-			node = n.name
-		}
-		out = append(out, TenantReport{Node: node, Evicted: ts.Evicted, Usage: usage})
-	}
-	return out, nil
-}
+// the wire, in sweep order. Unreachable nodes and nodes without a
+// tenant table are skipped; failed answers are reported.
+func (fs *FS) Tenants() ([]TenantReport, error) { return tenantsOf(fs.nodes()) }
 
 // MergeTenantUsage folds per-node reports into one cluster-wide row per
 // tenant, sorted by tenant name.
