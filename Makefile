@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race race-observability race-transport race-alerts race-store race-tenant race-tsdb race-qos replay-determinism perfbench check bench bench-readpath bench-telemetry bench-mux bench-tenant bench-archive bench-qos bench-paper clean
+.PHONY: all build test vet race race-observability race-transport race-alerts race-store race-tenant race-tsdb race-qos replay-determinism perfbench fuzz-kernels check bench bench-readpath bench-telemetry bench-mux bench-tenant bench-archive bench-qos bench-paper clean
 
 all: check
 
@@ -99,6 +99,13 @@ perfbench:
 	cd perfbench && GOFLAGS=-mod=mod GOPROXY=off $(GO) vet ./... && GOFLAGS=-mod=mod GOPROXY=off $(GO) test ./...
 
 check: vet race replay-determinism perfbench
+
+# Native fuzzing of the gaussian2d kernel against its scalar reference
+# (internal/kernels/reference_test.go), for a bounded time. `make check`
+# already replays the committed corpus (internal/kernels/testdata/fuzz)
+# through `race`; a failing input the fuzzer finds is written there too.
+fuzz-kernels:
+	$(GO) test ./internal/kernels/ -run '^$$' -fuzz '^FuzzGaussianMatchesReference$$' -fuzztime 30s
 
 # Data-path microbenchmarks (fixed iteration count so runs compare
 # across commits) plus the window-vs-serial matrix (writes BENCH_pr2.json).

@@ -172,7 +172,7 @@ func table3() {
 	fmt.Printf("%-12s %-58s %14s %14s\n", "kernel", "computation complexity", "this host", "paper")
 	desc := map[string]string{
 		"sum8":       "1 addition per data item",
-		"gaussian2d": "9 multiplications, 9 additions, 1 division per pixel",
+		"gaussian2d": "3x3 filter (paper: 9 mul, 9 add, 1 div), 8 pixels per word",
 		"sum64":      "1 addition per float64",
 		"minmax":     "2 comparisons per float64",
 		"moments":    "2 additions, 1 multiplication per float64",

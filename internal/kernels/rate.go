@@ -61,16 +61,17 @@ func ResetRates() {
 	}
 }
 
+// calibrationWidth is the gaussian2d row width calibration filters: the
+// width clients send (dosasctl readex and the benchmark use 1024-pixel
+// rows), so the measured rate is the rate the runtime sees.
+const calibrationWidth = 1024
+
 // defaultParamsFor returns parameters that make the named kernel runnable
 // over an arbitrary byte stream, for calibration.
-func defaultParamsFor(op string, sample int) []byte {
+func defaultParamsFor(op string) []byte {
 	switch op {
 	case "gaussian2d":
-		w := sample / 64
-		if w < 3 {
-			w = 3
-		}
-		return GaussianParams(uint32(w), false)
+		return GaussianParams(calibrationWidth, false)
 	case "count":
 		return []byte("needle")
 	case "downsample":
@@ -95,7 +96,7 @@ func Calibrate(op string, sampleBytes int, store bool) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := k.Configure(defaultParamsFor(op, sampleBytes)); err != nil {
+	if err := k.Configure(defaultParamsFor(op)); err != nil {
 		return 0, err
 	}
 	const chunk = 1 << 20
