@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race race-observability race-transport race-alerts race-store race-tenant race-tsdb race-qos replay-determinism perfbench fuzz-kernels check bench bench-readpath bench-telemetry bench-mux bench-tenant bench-archive bench-qos bench-paper clean
+.PHONY: all build test vet race race-observability race-transport race-alerts race-store race-tenant race-tsdb race-qos replay-determinism perfbench fuzz-kernels fuzz-wire check bench bench-readpath bench-telemetry bench-mux bench-tenant bench-archive bench-qos bench-paper clean
 
 all: check
 
@@ -44,7 +44,7 @@ race-transport:
 # truncates, and in-flight zero-copy payloads pinning descriptors; the
 # cross-validation suite churns all of them under -race.
 race-store:
-	$(GO) test -race -run 'TestExtent|TestFDCache|TestFileStore|TestStore' ./internal/pfs/
+	$(GO) test -race -run 'TestExtent|TestFDCache|TestStore' ./internal/pfs/
 
 # Focused race gate for the operational plane: the event-log ring is
 # written from every subsystem while dosasctl events tails it, and the
@@ -75,7 +75,7 @@ race-tsdb:
 # Focused race gate for the tail-latency isolation plane: the QoS gate's
 # dispatcher binds WDRR elections to slots while cancels withdraw queued
 # tickets, the cancel registry races CancelReqs against registration and
-# both framings' mid-frame zero-fill, and hedged reads race two replica
+# the mux writer's mid-frame zero-fill, and hedged reads race two replica
 # streams (plus server death) over one destination buffer. The latency
 # tracker's EWMA/decay state rides along.
 race-qos:
@@ -107,6 +107,13 @@ check: vet race replay-determinism perfbench
 fuzz-kernels:
 	$(GO) test ./internal/kernels/ -run '^$$' -fuzz '^FuzzGaussianMatchesReference$$' -fuzztime 30s
 
+# Native fuzzing of the mux reader, the decoder that parses the first
+# byte of every connection: no input may panic it, and every message it
+# returns must round-trip through MuxWriter/MuxReader unchanged. `make
+# check` replays the committed corpus (internal/wire/testdata/fuzz).
+fuzz-wire:
+	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzMuxReader$$' -fuzztime 30s
+
 # Data-path microbenchmarks (fixed iteration count so runs compare
 # across commits) plus the window-vs-serial matrix (writes BENCH_pr2.json).
 bench:
@@ -114,8 +121,9 @@ bench:
 	$(GO) run ./cmd/dosas-bench -exp readpath
 	$(GO) run ./cmd/dosas-bench -exp noisy-neighbor
 
-# Zero-copy serving A/B: user-space copies per served byte for sendbuf
-# vs writev vs sendfile serving (writes BENCH_readpath_zerocopy.json).
+# User-space copies per served byte for the two stores a node can run
+# on: in-memory (staged through pooled buffers) vs extent (sendfile),
+# both over mux (writes BENCH_readpath_zerocopy.json).
 bench-readpath:
 	$(GO) run ./cmd/dosas-bench -exp readpath-zerocopy
 
@@ -125,8 +133,8 @@ bench-readpath:
 bench-telemetry:
 	$(GO) test . -run '^$$' -bench ReadPathTelemetry -benchtime 50x
 
-# Control-message latency under bulk load, multiplexed vs ordered
-# framing, plus the bulk-throughput no-regression check (writes
+# Control-message latency under bulk load on a shaped link, plus windowed
+# bulk throughput on a 250 µs link, both over mux (writes
 # BENCH_mux.json).
 bench-mux:
 	$(GO) run ./cmd/dosas-bench -exp mux

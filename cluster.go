@@ -119,15 +119,11 @@ type Options struct {
 	// EstimatorPeriod is how often each storage node's Contention
 	// Estimator re-probes and re-evaluates its policy (default 50 ms).
 	EstimatorPeriod time.Duration
-	// DataDir, when set, backs stripe stores with files under this
-	// directory (one subdirectory per storage node) and journals
-	// metadata, making the cluster durable across restarts.
+	// DataDir, when set, backs stripe stores with extent stores under
+	// this directory (one subdirectory per storage node, served through
+	// the zero-copy read path) and journals metadata, making the cluster
+	// durable across restarts.
 	DataDir string
-	// StoreBackend picks the on-disk store format when DataDir is set:
-	// "extent" (default; extent files plus the zero-copy read path) or
-	// "file" (the v0 one-file-per-handle layout, kept as the bench
-	// baseline and for pre-extent data directories).
-	StoreBackend string
 	// StoreSync makes disk-backed stores fsync after every write and
 	// truncate (-fsync on the daemons). Off by default: the page cache
 	// absorbs write bursts and the workloads are re-runnable.
@@ -135,11 +131,6 @@ type Options struct {
 	// FDCacheSize caps each disk-backed store's open descriptors
 	// (default pfs.DefaultFDCacheSize).
 	FDCacheSize int
-	// PlainReadPath disables the zero-copy serving path on every
-	// storage node: bulk reads stage through pooled buffers and frames
-	// are written contiguously, as before this path existed. Used by
-	// the sendbuf-vs-sendfile A/B benchmarks.
-	PlainReadPath bool
 	// WindowDepth is how many chunk requests clients connected through
 	// this Cluster keep in flight per server connection during bulk
 	// transfers (default pfs.DefaultWindowDepth; 1 disables pipelining).
@@ -153,10 +144,6 @@ type Options struct {
 	// top. Zero takes telemetry.DefaultInterval (100 ms); negative
 	// disables node telemetry entirely.
 	TelemetryTick time.Duration
-	// DisableMux makes every server decline the connection-multiplexing
-	// handshake, pinning all RPC to the ordered per-exchange mode
-	// (emulates a pre-mux deployment; used by A/B benchmarks).
-	DisableMux bool
 	// SLORules are the alert rules every node's SLO engine evaluates on
 	// its telemetry tick. Nil takes DefaultSLORules; engines are only
 	// built when node telemetry is enabled (TelemetryTick >= 0).
@@ -408,7 +395,6 @@ func StartCluster(o Options) (*Cluster, error) {
 		return nil, err
 	}
 	ms := pfs.NewServer(ml, meta)
-	ms.SetMux(!o.DisableMux)
 	ms.Start()
 	c.servers = append(c.servers, ms)
 	c.metaAddr = ms.Addr()
@@ -416,31 +402,15 @@ func StartCluster(o Options) (*Cluster, error) {
 	for i := 0; i < o.DataServers; i++ {
 		var store pfs.Store
 		if o.DataDir != "" {
-			dir := filepath.Join(o.DataDir, fmt.Sprintf("data-%d", i))
-			switch o.StoreBackend {
-			case "", "extent":
-				es, err := pfs.NewExtentStore(pfs.ExtentConfig{
-					Dir:         dir,
-					Sync:        o.StoreSync,
-					FDCacheSize: o.FDCacheSize,
-				})
-				if err != nil {
-					return nil, err
-				}
-				store = es
-			case "file":
-				fs, err := pfs.NewFileStoreConfig(pfs.FileStoreConfig{
-					Dir:         dir,
-					Sync:        o.StoreSync,
-					FDCacheSize: o.FDCacheSize,
-				})
-				if err != nil {
-					return nil, err
-				}
-				store = fs
-			default:
-				return nil, fmt.Errorf("dosas: unknown store backend %q", o.StoreBackend)
+			es, err := pfs.NewExtentStore(pfs.ExtentConfig{
+				Dir:         filepath.Join(o.DataDir, fmt.Sprintf("data-%d", i)),
+				Sync:        o.StoreSync,
+				FDCacheSize: o.FDCacheSize,
+			})
+			if err != nil {
+				return nil, err
 			}
+			store = es
 		} else {
 			store = pfs.NewMemStore()
 		}
@@ -526,12 +496,7 @@ func StartCluster(o Options) (*Cluster, error) {
 			return nil, err
 		}
 		srv := pfs.NewServer(dl, ds)
-		srv.SetMux(!o.DisableMux)
 		srv.SetFrameStats(ds.WireStats())
-		if o.PlainReadPath {
-			ds.SetZeroCopy(false)
-			srv.SetPlainWrites(true)
-		}
 		srv.Start()
 		c.servers = append(c.servers, srv)
 		c.dataAddrs = append(c.dataAddrs, srv.Addr())
@@ -729,9 +694,6 @@ type ClientOptions struct {
 	SlowDirBytes int64
 	// FlightCapacity bounds the slow-request journal (default 16).
 	FlightCapacity int
-	// DisableMux pins the client's pool to ordered per-exchange
-	// connections instead of negotiating multiplexing with the servers.
-	DisableMux bool
 	// HedgeAfter enables hedged reads on replicated files: a segment read
 	// still unanswered after this delay is duplicated to the next-best
 	// replica and the loser is cancelled. Used as the fallback trigger
@@ -748,7 +710,7 @@ func Connect(o ClientOptions) (*FS, error) {
 func connect(net transport.Network, metaAddr string, dataAddrs []string, o ClientOptions) (*FS, error) {
 	pc, err := pfs.NewClient(pfs.ClientConfig{
 		Net: net, MetaAddr: metaAddr, DataAddrs: dataAddrs, WindowDepth: o.WindowDepth, TransferChunk: o.TransferChunk,
-		DisableMux: o.DisableMux, Tenant: o.Tenant, HedgeAfter: o.HedgeAfter,
+		Tenant: o.Tenant, HedgeAfter: o.HedgeAfter,
 	})
 	if err != nil {
 		return nil, err

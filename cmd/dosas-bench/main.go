@@ -28,10 +28,10 @@
 //	readpath  pipelined read path, window vs serial (writes BENCH_pr2.json),
 //	          then the zero-copy serving matrix (see readpath-zerocopy)
 //	readpath-zerocopy
-//	          user-space copies per served byte: sendbuf vs writev vs
-//	          sendfile (writes BENCH_readpath_zerocopy.json)
+//	          user-space copies per served byte: in-memory store (staged)
+//	          vs extent store (sendfile) (writes BENCH_readpath_zerocopy.json)
 //	whatif    counterfactual replay of a live decision log (writes BENCH_whatif.json)
-//	mux       control-message latency under bulk load, mux vs ordered (writes BENCH_mux.json)
+//	mux       control-message latency and bulk throughput under mux (writes BENCH_mux.json)
 //	noisy-neighbor
 //	          per-tenant attribution: an aggressor tenant storms one node
 //	          while a victim trickles; checks the queue-wait attribution,

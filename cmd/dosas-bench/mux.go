@@ -1,23 +1,19 @@
 package main
 
-// The mux experiment (PR 5): control-plane latency under data-plane load.
+// The mux experiment: control-plane latency under data-plane load.
 //
 // The contention-aware scheduler depends on timely Probe/Cancel/Ping
-// traffic while stripe transfers saturate the link. This experiment pins
-// both planes to the same connection budget against one storage node
-// behind a 64 MB/s shaped link serving a 32 MB windowed read, and
-// measures the round-trip time of control messages issued mid-transfer:
-//
-//   - ordered: the pre-mux framing. The only way to share a connection
-//     is pipelining, so each control message queues behind the window's
-//     in-flight bulk chunks and drains strictly in order — textbook
-//     head-of-line blocking (depth × chunk / rate ≈ 250 ms).
-//   - mux: the negotiated multiplexed framing. Control frames ride the
-//     priority lane, preempting bulk between ≤256 KiB segments, so the
-//     RTT collapses to roughly one segment's worth of link time.
+// traffic while stripe transfers saturate the link. This experiment runs
+// one storage node behind a 64 MB/s shaped link serving a 32 MB windowed
+// read in a loop, and measures the round-trip time of Pings issued
+// mid-transfer on the same pool (and so the same shared connections).
+// Control frames ride the mux writer's priority lane, preempting bulk
+// between ≤256 KiB segments, so the RTT stays near one segment's worth of
+// link time instead of draining behind the window's in-flight chunks
+// (depth × chunk / rate ≈ 250 ms).
 //
 // A second, unshaped pass (250 µs one-way delay, the readpath regime)
-// checks bulk throughput did not regress under mux framing.
+// records windowed bulk throughput over the same framing.
 
 import (
 	"encoding/json"
@@ -48,7 +44,7 @@ type muxNode struct {
 	addr string
 }
 
-func startMuxNode(net transport.Network, ordered bool) *muxNode {
+func startMuxNode(net transport.Network) *muxNode {
 	store := pfs.NewMemStore()
 	data := make([]byte, muxBenchSizeMB<<20)
 	rand.New(rand.NewSource(5)).Read(data)
@@ -64,13 +60,8 @@ func startMuxNode(net transport.Network, ordered bool) *muxNode {
 		log.Fatal(err)
 	}
 	srv := pfs.NewServer(l, ds)
-	srv.SetMux(!ordered)
 	srv.Start()
-	pool := pfs.NewPool(net)
-	if ordered {
-		pool.DisableMux()
-	}
-	return &muxNode{srv: srv, pool: pool, addr: "data-mux"}
+	return &muxNode{srv: srv, pool: pfs.NewPool(net), addr: "data-mux"}
 }
 
 func (n *muxNode) close() {
@@ -99,66 +90,11 @@ func summarize(rtts []time.Duration) latencyStats {
 	}
 }
 
-// muxControlOrdered measures ping RTT on the pre-mux framing with bulk
-// and control pipelined on one connection: every ping drains behind the
-// window's in-flight chunks.
-func muxControlOrdered(pings int) []time.Duration {
-	node := startMuxNode(transport.NewShaped(transport.NewInproc(), muxBenchRate), true)
-	defer node.close()
-
-	s, err := node.pool.Stream(node.addr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer s.Release()
-
-	type inflight struct {
-		ping bool
-		sent time.Time
-	}
-	var (
-		queue []inflight
-		rtts  []time.Duration
-		off   uint64
-		seq   uint64
-		sends int
-	)
-	const total = uint64(muxBenchSizeMB << 20)
-	for len(rtts) < pings {
-		for len(queue) < muxBenchDepth {
-			sends++
-			if sends%(muxBenchDepth+1) == 0 {
-				seq++
-				if err := s.Send(&wire.Ping{Seq: seq}); err != nil {
-					log.Fatal(err)
-				}
-				queue = append(queue, inflight{ping: true, sent: time.Now()})
-				continue
-			}
-			req := &wire.ReadReq{Handle: muxBenchHandle, Offset: off, Length: muxBenchChunk}
-			off = (off + muxBenchChunk) % total
-			if err := s.Send(req); err != nil {
-				log.Fatal(err)
-			}
-			queue = append(queue, inflight{})
-		}
-		head := queue[0]
-		queue = queue[1:]
-		if _, err := s.Recv(); err != nil {
-			log.Fatal(err)
-		}
-		if head.ping {
-			rtts = append(rtts, time.Since(head.sent))
-		}
-	}
-	return rtts
-}
-
-// muxControlMuxed measures ping RTT over the multiplexed framing while a
-// windowed read of the same file loops in the background on the same
-// pool (and therefore the same shared connections).
-func muxControlMuxed(pings int) []time.Duration {
-	node := startMuxNode(transport.NewShaped(transport.NewInproc(), muxBenchRate), false)
+// muxControl measures ping RTT while a windowed read of the same file
+// loops in the background on the same pool (and therefore the same
+// shared connections).
+func muxControl(pings int) []time.Duration {
+	node := startMuxNode(transport.NewShaped(transport.NewInproc(), muxBenchRate))
 	defer node.close()
 
 	stop := make(chan struct{})
@@ -195,8 +131,8 @@ func muxControlMuxed(pings int) []time.Duration {
 
 // muxThroughput measures a 32 MB windowed read in the readpath regime
 // (250 µs one-way delay, unshaped) and returns MB/s, best of runs.
-func muxThroughput(ordered bool, runs int) float64 {
-	node := startMuxNode(transport.NewDelayed(transport.NewInproc(), 250*time.Microsecond), ordered)
+func muxThroughput(runs int) float64 {
+	node := startMuxNode(transport.NewDelayed(transport.NewInproc(), 250*time.Microsecond))
 	defer node.close()
 
 	buf := make([]byte, muxBenchSizeMB<<20)
@@ -213,28 +149,19 @@ func muxThroughput(ordered bool, runs int) float64 {
 	return float64(muxBenchSizeMB<<20) / best.Seconds() / 1e6
 }
 
-// muxExp runs the control-latency-under-load comparison and the
-// throughput no-regression check, writing BENCH_mux.json.
+// muxExp runs the control-latency-under-load measurement and the bulk
+// throughput pass, writing BENCH_mux.json.
 func muxExp() {
 	header("Mux: control-message latency under a 32 MB windowed read (64 MB/s shaped link)")
 
-	ordered := summarize(muxControlOrdered(16))
-	muxed := summarize(muxControlMuxed(50))
-	speedup := ordered.P99us / muxed.P99us
-
+	muxed := summarize(muxControl(50))
 	fmt.Printf("%-10s %10s %10s %10s %9s\n", "mode", "p50", "p99", "max", "samples")
-	fmt.Printf("%-10s %8.1fms %8.1fms %8.1fms %9d\n", "ordered",
-		ordered.P50us/1e3, ordered.P99us/1e3, ordered.MaxUs/1e3, ordered.Samples)
 	fmt.Printf("%-10s %8.1fms %8.1fms %8.1fms %9d\n", "mux",
 		muxed.P50us/1e3, muxed.P99us/1e3, muxed.MaxUs/1e3, muxed.Samples)
-	fmt.Printf("\np99 control latency: %.1fx lower under mux\n", speedup)
 
 	const runs = 3
-	tputOrdered := muxThroughput(true, runs)
-	tputMux := muxThroughput(false, runs)
-	ratio := tputMux / tputOrdered
-	fmt.Printf("\nreadpath throughput, depth %d (250 µs link): ordered %.1f MB/s, mux %.1f MB/s (%.2fx)\n",
-		muxBenchDepth, tputOrdered, tputMux, ratio)
+	tputMux := muxThroughput(runs)
+	fmt.Printf("\nreadpath throughput, depth %d (250 µs link): mux %.1f MB/s\n", muxBenchDepth, tputMux)
 
 	blob, err := json.MarshalIndent(map[string]any{
 		"experiment":     "mux",
@@ -242,9 +169,8 @@ func muxExp() {
 		"bulk": map[string]any{
 			"total_mb": muxBenchSizeMB, "chunk_bytes": muxBenchChunk, "depth": muxBenchDepth,
 		},
-		"control_latency": map[string]latencyStats{"ordered": ordered, "mux": muxed},
-		"p99_speedup":     speedup,
-		"throughput_mbps": map[string]float64{"ordered": tputOrdered, "mux": tputMux, "ratio": ratio},
+		"control_latency": map[string]latencyStats{"mux": muxed},
+		"throughput_mbps": map[string]float64{"mux": tputMux},
 	}, "", "  ")
 	if err != nil {
 		log.Fatal(err)

@@ -14,23 +14,20 @@ import (
 )
 
 // readPathZeroCopy measures the serving-side cost of a 32 MB windowed
-// read under the three transports the zero-copy work distinguishes:
+// read for the two stores a data server can run on, both over the mux
+// framing:
 //
-//	sendbuf       disk store, -read-path copy: stripes staged through a
-//	              pooled buffer, frame encoded contiguously (the pre-PR
-//	              baseline; every byte crosses user space twice)
-//	writev        in-memory store, zero-copy framing: the header and the
-//	              pooled stripe buffer leave via one vectored write
-//	              (one user-space copy, no contiguous staging)
-//	sendfile      disk store, zero-copy framing, ordered transport: the
-//	              kernel moves extent bytes straight to the socket
-//	sendfile+mux  ditto through the mux framing's segmentation
+//	staged    in-memory store: the stripe is read into a pooled buffer
+//	          and encoded into the frame buffer (two user-space copies
+//	          per served byte)
+//	sendfile  extent store: the kernel moves extent bytes straight to
+//	          the socket; only the segment headers and the frame's head
+//	          and tail leave through vectored writes
 //
 // Alongside wall-clock throughput it reports the per-mode accounting the
 // data plane keeps: data.bytes_copied + wire.copied_bytes (user-space
 // copies of served payload), wire.sendfile_bytes, wire.writev_calls, and
-// the Go heap allocated per read, which should stay flat in the
-// zero-copy modes regardless of transfer size.
+// the Go heap allocated per read.
 func readPathZeroCopy() {
 	header("Read path: user-space copies per served byte (32 MB windowed reads, loopback TCP)")
 	const sizeMB = 32
@@ -116,26 +113,12 @@ func readPathZeroCopy() {
 		TelemetryTick: -1,
 	}
 
-	sendbuf := base
-	sendbuf.DataDir = benchTempDir("sendbuf")
-	defer os.RemoveAll(sendbuf.DataDir)
-	sendbuf.PlainReadPath = true
-	measure("sendbuf", sendbuf)
-
-	writev := base
-	writev.DisableMux = true // in-memory store: vectored writes need the ordered framing
-	measure("writev", writev)
+	measure("staged", base)
 
 	sendfile := base
 	sendfile.DataDir = benchTempDir("sendfile")
 	defer os.RemoveAll(sendfile.DataDir)
-	sendfile.DisableMux = true
 	measure("sendfile", sendfile)
-
-	sendfileMux := base
-	sendfileMux.DataDir = benchTempDir("sendfile-mux")
-	defer os.RemoveAll(sendfileMux.DataDir)
-	measure("sendfile+mux", sendfileMux)
 
 	blob, err := json.MarshalIndent(map[string]any{
 		"experiment": "readpath-zerocopy",
@@ -151,8 +134,8 @@ func readPathZeroCopy() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nwrote copy-accounting matrix to %s\n", out)
-	fmt.Println("(expect sendbuf ≈ 2 copies/byte, writev ≈ 1, sendfile ≈ 0 with the")
-	fmt.Println(" served bytes showing up under sendfile_bytes instead)")
+	fmt.Println("(expect staged ≈ 2 copies/byte and sendfile ≈ 0, with the served")
+	fmt.Println(" bytes showing up under sendfile_bytes instead)")
 }
 
 // benchTempDir makes a throwaway data directory for one bench cluster.

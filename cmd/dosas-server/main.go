@@ -42,10 +42,8 @@ func main() {
 
 	addr := flag.String("addr", ":7710", "TCP listen address")
 	storeDir := flag.String("store", "", "stripe store directory (empty = in-memory)")
-	backend := flag.String("store-backend", "extent", "on-disk store format: extent or file (v0 one-file-per-handle)")
 	fsync := flag.Bool("fsync", false, "fsync the store after every write and truncate (default off: page cache absorbs bursts)")
 	fdCache := flag.Int("fd-cache", pfs.DefaultFDCacheSize, "max open descriptors cached by the store")
-	readPath := flag.String("read-path", "zerocopy", "bulk read serving path: zerocopy (sendfile/writev) or copy (staged through pooled buffers)")
 	policy := flag.String("policy", "dosas", "scheduling policy: dosas, as, or ts")
 	solverName := flag.String("solver", "", "dynamic-mode scheduling algorithm: exhaustive, maxgain (default), all-active, all-normal")
 	bw := flag.Float64("bw", 118e6, "network bandwidth the estimator assumes, bytes/second")
@@ -95,23 +93,14 @@ func main() {
 	}
 
 	var store pfs.Store
-	switch {
-	case *storeDir == "":
+	if *storeDir == "" {
 		store = pfs.NewMemStore()
-	case *backend == "extent":
+	} else {
 		es, err := pfs.NewExtentStore(pfs.ExtentConfig{Dir: *storeDir, Sync: *fsync, FDCacheSize: *fdCache})
 		if err != nil {
 			log.Fatal(err)
 		}
 		store = es
-	case *backend == "file":
-		fs, err := pfs.NewFileStoreConfig(pfs.FileStoreConfig{Dir: *storeDir, Sync: *fsync, FDCacheSize: *fdCache})
-		if err != nil {
-			log.Fatal(err)
-		}
-		store = fs
-	default:
-		log.Fatalf("unknown -store-backend %q (want extent or file)", *backend)
 	}
 	defer store.Close()
 
@@ -226,16 +215,7 @@ func main() {
 		log.Fatal(err)
 	}
 	srv := pfs.NewServer(l, ds)
-	srv.SetMux(!common.NoMux)
 	srv.SetFrameStats(ds.WireStats())
-	switch *readPath {
-	case "zerocopy":
-	case "copy":
-		ds.SetZeroCopy(false)
-		srv.SetPlainWrites(true)
-	default:
-		log.Fatalf("unknown -read-path %q (want zerocopy or copy)", *readPath)
-	}
 	events.Info("server", "serving stripes",
 		"addr", srv.Addr(), "policy", mode.String(),
 		"cores", fmt.Sprint(*cores), "reserved", fmt.Sprint(*reserved),

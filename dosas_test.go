@@ -586,56 +586,50 @@ func TestCalibrateProducesPositiveRate(t *testing.T) {
 	}
 }
 
-// TestPublicZeroCopyReadPath reads a disk-backed file over real TCP under
-// both framings and checks the serving-path accounting: bulk reads go out
-// by reference (sendfile on Linux), not through the staged-copy path.
+// TestPublicZeroCopyReadPath reads a disk-backed file over real TCP and
+// checks the serving-path accounting: bulk reads go out by reference
+// (sendfile on Linux), not through the staged-copy path.
 func TestPublicZeroCopyReadPath(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mux  bool
-	}{{"mux", true}, {"ordered", false}} {
-		t.Run(tc.name, func(t *testing.T) {
-			c := startCluster(t, dosas.Options{
-				DataServers: 1, DataDir: t.TempDir(),
-				TCP: true, DisableMux: !tc.mux,
-			})
-			fs := connect(t, c, dosas.DOSAS)
-			f, err := fs.Create("zc/x")
-			if err != nil {
-				t.Fatal(err)
-			}
-			data := workload.RandomBytes(1<<20, 11)
-			if _, err := f.WriteAt(data, 0); err != nil {
-				t.Fatal(err)
-			}
-			got := make([]byte, len(data))
-			if _, err := f.ReadAt(got, 0); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, data) {
-				t.Fatal("zero-copy read returned wrong bytes")
-			}
-			st := c.Stats()["data-0"]
-			if copied := st.Counter("data.bytes_copied"); copied != 0 {
-				t.Errorf("data.bytes_copied = %d, want 0 (bulk read should serve by reference)", copied)
-			}
-			if runtime.GOOS == "linux" {
-				if sf := st.Counter("wire.sendfile_bytes"); sf < int64(len(data)) {
-					t.Errorf("wire.sendfile_bytes = %d, want >= %d", sf, len(data))
-				}
-			}
+	t.Run("mux", func(t *testing.T) {
+		c := startCluster(t, dosas.Options{
+			DataServers: 1, DataDir: t.TempDir(),
+			TCP: true,
 		})
-	}
+		fs := connect(t, c, dosas.DOSAS)
+		f, err := fs.Create("zc/x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := workload.RandomBytes(1<<20, 11)
+		if _, err := f.WriteAt(data, 0); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, len(data))
+		if _, err := f.ReadAt(got, 0); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatal("zero-copy read returned wrong bytes")
+		}
+		st := c.Stats()["data-0"]
+		if copied := st.Counter("data.bytes_copied"); copied != 0 {
+			t.Errorf("data.bytes_copied = %d, want 0 (bulk read should serve by reference)", copied)
+		}
+		if runtime.GOOS == "linux" {
+			if sf := st.Counter("wire.sendfile_bytes"); sf < int64(len(data)) {
+				t.Errorf("wire.sendfile_bytes = %d, want >= %d", sf, len(data))
+			}
+		}
+	})
 }
 
-// TestPublicCopyReadPath: the -read-path copy escape hatch serves the
-// same bytes through staged buffers, and the copies are visible in the
-// counters — the A/B the readpath benchmark relies on.
-func TestPublicCopyReadPath(t *testing.T) {
-	c := startCluster(t, dosas.Options{
-		DataServers: 1, DataDir: t.TempDir(),
-		TCP: true, PlainReadPath: true,
-	})
+// TestPublicStagedReadPathCountsCopies: a MemStore-backed node has no
+// by-reference path, so a bulk read stages every byte twice — store into
+// a pooled buffer (data.bytes_copied), buffer into the frame
+// (wire.copied_bytes) — and both copies show in the counters the
+// copies-per-byte accounting reads.
+func TestPublicStagedReadPathCountsCopies(t *testing.T) {
+	c := startCluster(t, dosas.Options{DataServers: 1, TCP: true})
 	fs := connect(t, c, dosas.DOSAS)
 	f, err := fs.Create("cp/x")
 	if err != nil {
@@ -645,18 +639,21 @@ func TestPublicCopyReadPath(t *testing.T) {
 	if _, err := f.WriteAt(data, 0); err != nil {
 		t.Fatal(err)
 	}
+	before := c.Stats()["data-0"]
 	got := make([]byte, len(data))
 	if _, err := f.ReadAt(got, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {
-		t.Fatal("copy-path read returned wrong bytes")
+		t.Fatal("staged read returned wrong bytes")
 	}
-	st := c.Stats()["data-0"]
-	if copied := st.Counter("data.bytes_copied"); copied < int64(len(data)) {
-		t.Errorf("data.bytes_copied = %d, want >= %d", copied, len(data))
+	after := c.Stats()["data-0"]
+	for _, name := range []string{"data.bytes_copied", "wire.copied_bytes"} {
+		if d := after.Counter(name) - before.Counter(name); d < int64(len(data)) {
+			t.Errorf("%s grew by %d over the read, want >= %d", name, d, len(data))
+		}
 	}
-	if sf := st.Counter("wire.sendfile_bytes"); sf != 0 {
-		t.Errorf("wire.sendfile_bytes = %d, want 0 on the copy path", sf)
+	if sf := after.Counter("wire.sendfile_bytes"); sf != 0 {
+		t.Errorf("wire.sendfile_bytes = %d, want 0 for an in-memory store", sf)
 	}
 }

@@ -1,5 +1,5 @@
 // Package daemonflags holds the command-line flags every DOSAS daemon
-// shares — the debug endpoint, transport mode, telemetry cadence, and
+// shares — the debug endpoint, telemetry cadence, and
 // the observability plane (event log and SLO rules) — so the five
 // binaries register identical names with identical semantics instead of
 // five drifting copies.
@@ -29,8 +29,6 @@ type Common struct {
 	// PprofAddr is -pprof-addr: the loopback debug endpoint carrying
 	// net/http/pprof and /metrics. Empty disables it.
 	PprofAddr string
-	// NoMux is -no-mux: decline connection multiplexing.
-	NoMux bool
 	// TelemetryTick is -telemetry-tick: the sampler interval (0 = the
 	// 100 ms default, negative = telemetry disabled).
 	TelemetryTick time.Duration
@@ -70,12 +68,10 @@ type Common struct {
 }
 
 // RegisterBase installs the flags every binary shares: the debug
-// endpoint and the transport mode.
+// endpoint.
 func (c *Common) RegisterBase(fs *flag.FlagSet) {
 	fs.StringVar(&c.PprofAddr, "pprof-addr", "",
 		"serve net/http/pprof and /metrics on this loopback address (e.g. 127.0.0.1:6060; empty = disabled)")
-	fs.BoolVar(&c.NoMux, "no-mux", false,
-		"decline connection multiplexing; use ordered per-exchange RPC only")
 }
 
 // RegisterTelemetry installs -telemetry-tick.

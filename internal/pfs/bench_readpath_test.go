@@ -117,9 +117,9 @@ func BenchmarkReadPathInproc(b *testing.B) {
 	}
 }
 
-// BenchmarkWritePathInproc is the write-side counterpart: WriteMessage's
-// pooled encode buffer and the server-side FrameReader are both on this
-// path.
+// BenchmarkWritePathInproc is the write-side counterpart: the client's
+// pooled mux encode buffer and the server-side MuxReader are both on
+// this path.
 func BenchmarkWritePathInproc(b *testing.B) {
 	const size = 32 << 20
 	for _, width := range []int{1, 4} {

@@ -95,11 +95,9 @@ type DataServer struct {
 	active atomic.Value
 
 	// Zero-copy read path state: ranger is the store's RangeReader side
-	// (nil for MemStore), zeroCopy gates the fast path (on by default,
-	// off for A/B benchmarking), wireStats is shared with every framing
-	// writer of this server and mirrored into reg by stats().
+	// (nil for MemStore), wireStats is shared with every framing writer
+	// of this server and mirrored into reg by stats().
 	ranger    RangeReader
-	zeroCopy  bool
 	wireStats wire.FrameStats
 
 	// QoS enforcement: gate admits reads/writes in weighted-fair order
@@ -128,7 +126,6 @@ func NewDataServer(cfg DataConfig) (*DataServer, error) {
 	}
 	ds.provideInspect(cfg)
 	ds.ranger, _ = cfg.Store.(RangeReader)
-	ds.zeroCopy = true
 	if cfg.QoS != nil {
 		ds.gate = NewQoSGate(*cfg.QoS)
 		ds.gate.SetTenants(cfg.Tenants)
@@ -187,12 +184,6 @@ func (ds *DataServer) Close() { ds.gate.Close() }
 // WireStats exposes the server's frame-transport counters; the RPC
 // server shares this struct across every connection's framing writer.
 func (ds *DataServer) WireStats() *wire.FrameStats { return &ds.wireStats }
-
-// SetZeroCopy gates the by-reference read path (on by default). With it
-// off, bulk reads stage through pooled buffers as before — the bench
-// harness uses this for sendbuf-vs-sendfile comparisons. Call before
-// the server starts handling requests.
-func (ds *DataServer) SetZeroCopy(on bool) { ds.zeroCopy = on }
 
 // SetActiveHandler attaches the active-storage runtime. Must be called
 // before the server starts handling requests.
@@ -418,7 +409,7 @@ func (ds *DataServer) read(req *wire.ReadReq) (wire.Message, error) {
 		return nil, fmt.Errorf("%w: read of %d bytes exceeds frame budget", ErrInvalid, req.Length)
 	}
 	size := ds.store.Size(req.Handle)
-	if ds.zeroCopy && ds.ranger != nil && req.Length >= zeroCopyMin && req.Offset < size {
+	if ds.ranger != nil && req.Length >= zeroCopyMin && req.Offset < size {
 		n := min(uint64(req.Length), size-req.Offset)
 		p, err := ds.ranger.ReadRange(req.Handle, req.Offset, n)
 		if err == nil {

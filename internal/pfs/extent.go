@@ -22,7 +22,7 @@ package pfs
 // WriteAt maintains it for free (pwrite extends the touched file);
 // Truncate re-establishes it by deleting later extents and truncating
 // the boundary extent to the exact local length (sparse-extending it
-// when the truncate grows the stream, matching FileStore semantics).
+// when the truncate grows the stream, as POSIX ftruncate does).
 // Reopening a directory after a crash or restart just rescans — there
 // is no journal to replay and no metadata to trust.
 
@@ -49,6 +49,11 @@ const DefaultExtentSize int64 = 16 << 20
 // sizes over one directory would silently shear every stream.
 const extentConfName = "extent.conf"
 
+// errV0Layout reports a data directory written by the retired v0 store
+// (one h<16 hex>.dat file per handle). The extent store cannot read it
+// and refuses to open it rather than serve those streams as empty.
+var errV0Layout = errors.New("pfs: extentstore: directory holds v0 one-file-per-handle streams (h<16 hex>.dat) and no " + extentConfName)
+
 // ExtentConfig configures an ExtentStore.
 type ExtentConfig struct {
 	// Dir roots the store; created if needed.
@@ -61,7 +66,9 @@ type ExtentConfig struct {
 	// DefaultFDCacheSize).
 	FDCacheSize int
 	// Sync fsyncs extent files after every write/truncate. Off by
-	// default; see FileStoreConfig.Sync.
+	// default: the page cache absorbs write bursts and the paper's
+	// workloads are re-runnable; turn it on (-fsync) for
+	// durability-sensitive runs.
 	Sync bool
 }
 
@@ -94,6 +101,9 @@ func NewExtentStore(cfg ExtentConfig) (*ExtentStore, error) {
 		}
 		ext = v
 	} else if os.IsNotExist(err) {
+		if v0, _ := filepath.Glob(filepath.Join(cfg.Dir, "h*.dat")); len(v0) > 0 {
+			return nil, fmt.Errorf("%w: %s", errV0Layout, cfg.Dir)
+		}
 		if werr := os.WriteFile(confPath, []byte(strconv.FormatInt(ext, 10)+"\n"), 0o644); werr != nil {
 			return nil, fmt.Errorf("pfs: extentstore: %w", werr)
 		}
@@ -286,8 +296,7 @@ func (s *ExtentStore) Size(handle uint64) uint64 {
 	return uint64(sz)
 }
 
-// Truncate implements Store. Like FileStore it sets the exact stream
-// size — shrinking discards, growing extends with a hole — and no-ops
+// Truncate implements Store. It sets the exact stream size — shrinking discards, growing extends with a hole — and no-ops
 // on a handle that has no stream.
 func (s *ExtentStore) Truncate(handle uint64, size uint64) error {
 	if _, err := os.Stat(s.handleDir(handle)); os.IsNotExist(err) {

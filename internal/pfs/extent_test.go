@@ -2,10 +2,12 @@ package pfs
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"dosas/internal/wire"
@@ -15,8 +17,8 @@ import (
 // ExtentStore and a MemStore model in lockstep, including crash-reopens
 // of the extent store (Close + NewExtentStore on the same directory).
 // The one modelled divergence: Truncate past the end extends the extent
-// store with zeros (POSIX ftruncate, matching FileStore) while MemStore
-// only shrinks — the model emulates the extension with a zero write.
+// store with zeros (POSIX ftruncate) while MemStore only shrinks — the
+// model emulates the extension with a zero write.
 func TestExtentStoreCrossValidation(t *testing.T) {
 	dir := t.TempDir()
 	es, err := NewExtentStore(ExtentConfig{Dir: dir, ExtentSize: 512, FDCacheSize: 8})
@@ -288,33 +290,9 @@ func TestFDCacheEviction(t *testing.T) {
 	}
 }
 
-// TestFileStoreFDCacheEviction: same bound for the one-file-per-handle
-// layout.
-func TestFileStoreFDCacheEviction(t *testing.T) {
-	fs, err := NewFileStoreConfig(FileStoreConfig{Dir: t.TempDir(), FDCacheSize: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	for h := uint64(0); h < 20; h++ {
-		if _, err := fs.WriteAt(h, []byte{byte(h)}, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := fs.fds.len(); got > 3 {
-		t.Fatalf("fd cache holds %d entries, cap 3", got)
-	}
-	for h := uint64(0); h < 20; h++ {
-		b := make([]byte, 1)
-		if _, err := fs.ReadAt(h, b, 0); err != nil || b[0] != byte(h) {
-			t.Fatalf("handle %d: %v %v", h, b, err)
-		}
-	}
-}
-
 // TestExtentStoreWirePayloadThroughFraming: end-to-end at the wire layer —
-// a ReadRange payload inside a ReadResp produces a frame whose decoded
-// data matches the store content, under both framings.
+// a ReadRange payload inside a ReadResp produces mux frames whose
+// reassembled data matches the store content.
 func TestExtentStoreWirePayloadThroughFraming(t *testing.T) {
 	es, err := NewExtentStore(ExtentConfig{Dir: t.TempDir(), ExtentSize: 4096})
 	if err != nil {
@@ -330,18 +308,21 @@ func TestExtentStoreWirePayloadThroughFraming(t *testing.T) {
 		t.Fatal(err)
 	}
 	var frame bytes.Buffer
-	if err := wire.WriteMessageOpts(&frame, &wire.ReadResp{Payload: p, EOF: true}, wire.WriteOptions{}); err != nil {
+	mw := wire.NewMuxWriter(&frame, wire.DefaultMuxSegment)
+	if err := mw.Enqueue(&wire.ReadResp{Payload: p, EOF: true}, 1, nil); err != nil {
 		t.Fatal(err)
 	}
+	mw.Close()
 	p.Close()
-	m, err := wire.ReadMessage(bytes.NewReader(frame.Bytes()))
+	f, err := wire.NewMuxReader(&frame).Read()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr := m.(*wire.ReadResp)
+	rr := f.Msg.(*wire.ReadResp)
 	if !bytes.Equal(rr.Data, data) || !rr.EOF {
 		t.Fatal("decoded frame does not match store content")
 	}
+	wire.PutBuf(f.Buf)
 }
 
 // TestExtentStoreRejectsCorruptConf: a mangled extent.conf fails loudly
@@ -360,4 +341,46 @@ func TestExtentStoreRejectsCorruptConf(t *testing.T) {
 	if _, err := NewExtentStore(ExtentConfig{Dir: dir, ExtentSize: 512}); err == nil {
 		t.Fatal("corrupt extent.conf accepted")
 	}
+}
+
+// TestExtentStoreRefusesV0Layout: a directory written by the retired
+// one-file-per-handle store (h<16 hex>.dat streams, no extent.conf) is
+// refused with errV0Layout instead of being adopted and served as empty,
+// and the refusal leaves the directory untouched.
+func TestExtentStoreRefusesV0Layout(t *testing.T) {
+	dir := t.TempDir()
+	v0 := filepath.Join(dir, "h0000000000000001.dat")
+	if err := os.WriteFile(v0, []byte("v0 stream"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := NewExtentStore(ExtentConfig{Dir: dir})
+	if !errors.Is(err, errV0Layout) {
+		t.Fatalf("v0 dir: err = %v, want errV0Layout", err)
+	}
+	if !strings.Contains(err.Error(), "h<16 hex>.dat") {
+		t.Errorf("error %q does not name the v0 layout", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "extent.conf")); !os.IsNotExist(err) {
+		t.Errorf("refused open wrote extent.conf (stat err = %v)", err)
+	}
+	if got, err := os.ReadFile(v0); err != nil || string(got) != "v0 stream" {
+		t.Errorf("v0 stream changed: %q, %v", got, err)
+	}
+
+	// A store that already has its extent.conf is not v0, whatever else
+	// sits beside it.
+	ok := t.TempDir()
+	es, err := NewExtentStore(ExtentConfig{Dir: ok})
+	if err != nil {
+		t.Fatal(err)
+	}
+	es.Close()
+	if err := os.WriteFile(filepath.Join(ok, "h0000000000000002.dat"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	es, err = NewExtentStore(ExtentConfig{Dir: ok})
+	if err != nil {
+		t.Fatalf("reopen with extent.conf: %v", err)
+	}
+	es.Close()
 }

@@ -6,13 +6,12 @@ import (
 	"sync"
 )
 
-// DefaultFDCacheSize caps how many file descriptors a disk-backed store
+// DefaultFDCacheSize caps how many file descriptors the extent store
 // keeps open. 256 stays far under typical rlimits while covering the
 // working set of a busy node (a few dozen hot streams × a few extents).
 const DefaultFDCacheSize = 256
 
-// fdKey identifies one cached descriptor: a handle's single backing file
-// (FileStore, ext == 0) or one of its extents (ExtentStore).
+// fdKey identifies one cached descriptor: one extent file of a handle.
 type fdKey struct {
 	handle uint64
 	ext    uint32
@@ -32,9 +31,9 @@ type fdEntry struct {
 }
 
 // fdCache is a capped, refcounted LRU of open descriptors, shared by the
-// disk-backed stores. All operations are safe for concurrent use; opens
-// run under the cache lock (serializing them, as the pre-cache FileStore
-// did), which also makes open-or-create races impossible.
+// extent store. All operations are safe for concurrent use; opens run
+// under the cache lock (serializing them), which also makes
+// open-or-create races impossible.
 type fdCache struct {
 	mu      sync.Mutex
 	cap     int

@@ -1,14 +1,13 @@
 package pfs
 
-// Client side of the mux upgrade (see internal/wire/mux.go for the wire
-// format and Server.serveMux for the peer). Per mux-capable address the
-// Pool keeps a small fixed set of shared connections; every Call and
-// Stream to that address multiplexes onto one of them under a unique
-// stream ID, so a 4 MB stripe transfer no longer blocks a Ping — the
-// writer's control lane preempts bulk segments on the wire.
+// Client side of the mux framing (see internal/wire/mux.go for the wire
+// format and Server.serveMux for the peer). Per address the Pool keeps a
+// small fixed set of shared connections; every Call and Stream to that
+// address multiplexes onto one of them under a unique stream ID, so a
+// 4 MB stripe transfer does not block a Ping — the writer's control lane
+// preempts bulk segments on the wire.
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -19,26 +18,18 @@ import (
 )
 
 // MuxConnsPerAddr is how many shared mux connections the pool keeps per
-// mux-capable peer. Two is enough to keep one saturated with bulk while
-// the other stays hot for a dial-free fallback; concurrency comes from
+// peer. Two is enough to keep one saturated with bulk while the other
+// stays hot for a dial-free fallback; concurrency comes from
 // multiplexing, not sockets.
 const MuxConnsPerAddr = 2
 
-// errMuxDemoted reports that the peer declined (or flunked) the mux
-// handshake after the pool had assumed it was mux-capable; the caller
-// re-resolves the address, which now routes to ordered mode.
-var errMuxDemoted = errors.New("pfs: peer demoted to ordered mode")
-
-// muxFor resolves addr to its mux peer, or nil when the address must use
-// ordered mode (mux disabled, or the peer previously declined).
-func (p *Pool) muxFor(addr string) (*muxPeer, error) {
+// peer resolves addr to its shared-connection set, creating it on first
+// use.
+func (p *Pool) peer(addr string) (*muxPeer, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
 		return nil, transport.ErrClosed
-	}
-	if p.noMux || p.plain[addr] {
-		return nil, nil
 	}
 	mp := p.peers[addr]
 	if mp == nil {
@@ -48,61 +39,7 @@ func (p *Pool) muxFor(addr string) (*muxPeer, error) {
 	return mp, nil
 }
 
-// demote records that addr does not speak mux. reusable, when non-nil, is
-// the handshake connection the peer left in ordered mode — it goes to the
-// idle pool rather than being wasted. Demotion is sticky for the pool's
-// lifetime: a peer upgraded in place starts being multiplexed after the
-// client process (or its Pool) restarts.
-func (p *Pool) demote(addr string, reusable *poolConn) {
-	p.mu.Lock()
-	p.plain[addr] = true
-	delete(p.peers, addr)
-	p.mu.Unlock()
-	p.reg.Counter("pool.mux.fallbacks").Inc()
-	if reusable != nil {
-		p.put(addr, reusable)
-	}
-}
-
-// handshake dials addr and offers the mux upgrade. Exactly one of the
-// returns is non-nil on success: a *muxConn when the peer accepted, a
-// reusable ordered *poolConn when it declined with a HelloResp, and
-// neither when it dropped the connection on the unknown frame type (a
-// pre-handshake binary) — the caller demotes the address either way. A
-// dial failure is a real error: the peer is down, not old.
-func (p *Pool) handshake(addr string) (*muxConn, *poolConn, error) {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil, nil, transport.ErrClosed
-	}
-	p.mu.Unlock()
-	c, err := p.Net.Dial(addr)
-	if err != nil {
-		return nil, nil, err
-	}
-	p.reg.Counter("pool.dials").Inc()
-	hello := &wire.HelloReq{MaxVersion: wire.MuxVersion, MaxSegment: wire.DefaultMuxSegment}
-	if err := wire.WriteMessage(c, hello); err != nil {
-		c.Close()
-		return nil, nil, err
-	}
-	resp, err := wire.ReadMessage(c)
-	if err != nil {
-		// Servers that predate the handshake fail to decode the unknown
-		// type and hang up; anything short of a HelloResp means ordered.
-		c.Close()
-		return nil, nil, nil
-	}
-	hr, ok := resp.(*wire.HelloResp)
-	if !ok || hr.Version < wire.MuxVersion {
-		return nil, &poolConn{c: c, fr: wire.NewFrameReader(c)}, nil
-	}
-	p.reg.Counter("pool.mux.handshakes").Inc()
-	return newMuxConn(p, c, clampSegment(hr.MaxSegment)), nil, nil
-}
-
-// muxPeer manages the shared connections to one mux-capable address.
+// muxPeer manages the shared connections to one address.
 type muxPeer struct {
 	p    *Pool
 	addr string
@@ -112,9 +49,9 @@ type muxPeer struct {
 	conns [MuxConnsPerAddr]*muxConn
 }
 
-// conn returns a live shared connection for the peer, dialing (and
-// handshaking) lazily. fresh reports that the connection was established
-// by this very call — a transport failure on it is real, not staleness.
+// conn returns a live shared connection for the peer, dialing lazily.
+// fresh reports that the connection was established by this very call —
+// a transport failure on it is real, not staleness.
 func (mp *muxPeer) conn() (mc *muxConn, fresh bool, err error) {
 	slot := int(atomic.AddUint32(&mp.rr, 1)) % MuxConnsPerAddr
 	mp.mu.Lock()
@@ -122,21 +59,28 @@ func (mp *muxPeer) conn() (mc *muxConn, fresh bool, err error) {
 	if mc = mp.conns[slot]; mc != nil && !mc.dead() {
 		return mc, false, nil
 	}
-	mc, plain, err := mp.p.handshake(mp.addr)
+	// Checked under mp.mu: Pool.Close marks the pool closed before it
+	// takes mp.mu to tear the conns down, so no conn dialed here outlives
+	// the pool.
+	mp.p.mu.Lock()
+	closed := mp.p.closed
+	mp.p.mu.Unlock()
+	if closed {
+		return nil, false, transport.ErrClosed
+	}
+	c, err := mp.p.Net.Dial(mp.addr)
 	if err != nil {
 		return nil, false, err
 	}
-	if mc == nil {
-		mp.p.demote(mp.addr, plain)
-		return nil, false, errMuxDemoted
-	}
+	mp.p.reg.Counter("pool.dials").Inc()
+	mc = newMuxConn(mp.p, c, wire.DefaultMuxSegment)
 	mp.conns[slot] = mc
 	return mc, true, nil
 }
 
 // call runs one request/response exchange over a shared connection,
 // retrying once on a fresh connection when an inherited one turns out to
-// be stale (exactly the ordered pool's stale-idle-conn semantics).
+// be stale (its server restarted since it was established).
 func (mp *muxPeer) call(req wire.Message) (wire.Message, error) {
 	p := mp.p
 	for attempt := 0; ; attempt++ {

@@ -1,7 +1,6 @@
 package pfs
 
 import (
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -34,7 +33,7 @@ func (h *pongHandler) Handle(m wire.Message) (wire.Message, error) {
 
 // startPongServer runs a Server over Inproc and returns the network, the
 // address, and the server (already started, cleaned up with the test).
-func startPongServer(t *testing.T, h Handler, mux bool) (*transport.Inproc, string, *Server) {
+func startPongServer(t *testing.T, h Handler) (*transport.Inproc, string, *Server) {
 	t.Helper()
 	n := transport.NewInproc()
 	l, err := n.Listen("peer")
@@ -42,7 +41,6 @@ func startPongServer(t *testing.T, h Handler, mux bool) (*transport.Inproc, stri
 		t.Fatal(err)
 	}
 	srv := NewServer(l, h)
-	srv.SetMux(mux)
 	srv.Start()
 	t.Cleanup(srv.Close)
 	return n, "peer", srv
@@ -59,7 +57,7 @@ func counter(t *testing.T, p *Pool, name string) int64 {
 // fast request still gets through.
 func TestMuxCallsShareConnectionsAndCompleteOutOfOrder(t *testing.T) {
 	h := &pongHandler{block: make(chan struct{})}
-	n, addr, _ := startPongServer(t, h, true)
+	n, addr, _ := startPongServer(t, h)
 	p := NewPool(n)
 	defer p.Close()
 
@@ -105,155 +103,40 @@ func TestMuxCallsShareConnectionsAndCompleteOutOfOrder(t *testing.T) {
 	}
 }
 
-// A server with the upgrade disabled declines the handshake with a
-// HelloResp v0; the client must fall back to ordered mode and reuse the
-// handshake connection rather than wasting it.
-func TestMuxFallsBackWhenServerDeclines(t *testing.T) {
-	n, addr, _ := startPongServer(t, &pongHandler{}, false)
-	p := NewPool(n)
-	defer p.Close()
-
-	for seq := uint64(1); seq <= 3; seq++ {
-		resp, err := p.Call(addr, &wire.Ping{Seq: seq})
-		if err != nil {
-			t.Fatalf("call %d: %v", seq, err)
-		}
-		if resp.(*wire.Pong).Seq != seq {
-			t.Fatalf("call %d got %v", seq, resp)
-		}
-	}
-	if c := counter(t, p, "pool.mux.fallbacks"); c != 1 {
-		t.Errorf("pool.mux.fallbacks = %d, want 1", c)
-	}
-	if c := counter(t, p, "pool.mux.handshakes"); c != 0 {
-		t.Errorf("pool.mux.handshakes = %d, want 0", c)
-	}
-	if c := counter(t, p, "pool.dials"); c != 1 {
-		t.Errorf("pool.dials = %d, want 1 (declined handshake conn must be reused)", c)
-	}
-}
-
-// A pre-handshake binary does not know MsgHelloReq at all: it drops the
-// connection on the undecodable frame. Emulated with a hand-rolled server
-// that hangs up on anything but Ping.
-func TestMuxFallsBackAgainstPreHandshakeServer(t *testing.T) {
-	n := transport.NewInproc()
-	l, err := n.Listen("old")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { l.Close() })
-	go func() {
-		for {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				defer c.Close()
-				fr := wire.NewFrameReader(c)
-				defer fr.Close()
-				for {
-					m, err := fr.Read()
-					if err != nil {
-						return
-					}
-					ping, ok := m.(*wire.Ping)
-					if !ok {
-						return // old binary: unknown type, hang up
-					}
-					if wire.WriteMessage(c, &wire.Pong{Seq: ping.Seq}) != nil {
-						return
-					}
-				}
-			}(c)
-		}
-	}()
-
-	p := NewPool(n)
-	defer p.Close()
-	resp, err := p.Call("old", &wire.Ping{Seq: 9})
-	if err != nil {
-		t.Fatalf("call against pre-handshake server: %v", err)
-	}
-	if resp.(*wire.Pong).Seq != 9 {
-		t.Fatalf("got %v", resp)
-	}
-	if c := counter(t, p, "pool.mux.fallbacks"); c != 1 {
-		t.Errorf("pool.mux.fallbacks = %d, want 1", c)
-	}
-	if _, err := p.Call("old", &wire.Ping{Seq: 10}); err != nil {
-		t.Fatalf("second ordered call: %v", err)
-	}
-}
-
-// An ordered-only client (DisableMux) against a mux-capable server must
-// never attempt the handshake and must work as before.
-func TestOrderedClientAgainstMuxServer(t *testing.T) {
-	n, addr, _ := startPongServer(t, &pongHandler{}, true)
-	p := NewPool(n)
-	p.DisableMux()
-	defer p.Close()
-
-	for seq := uint64(1); seq <= 3; seq++ {
-		if _, err := p.Call(addr, &wire.Ping{Seq: seq}); err != nil {
-			t.Fatalf("call %d: %v", seq, err)
-		}
-	}
-	if c := counter(t, p, "pool.mux.handshakes"); c != 0 {
-		t.Errorf("pool.mux.handshakes = %d, want 0", c)
-	}
-	if c := counter(t, p, "pool.idle.reuse"); c != 2 {
-		t.Errorf("pool.idle.reuse = %d, want 2", c)
-	}
-}
-
 // A panicking handler must produce a StatusInternal error response and
-// leave the connection serving — in both modes. Before the recover was
-// added, a panic killed the connection goroutine with no response.
+// leave the connection serving. Before the recover was added, a panic
+// killed the connection goroutine with no response.
 func TestServerRecoversHandlerPanic(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		mux  bool
-	}{{"mux", true}, {"ordered", false}} {
-		t.Run(mode.name, func(t *testing.T) {
-			n, addr, _ := startPongServer(t, &pongHandler{panicSeq: 666}, mode.mux)
-			p := NewPool(n)
-			if !mode.mux {
-				p.DisableMux()
-			}
-			defer p.Close()
+	t.Run("mux", func(t *testing.T) {
+		n, addr, _ := startPongServer(t, &pongHandler{panicSeq: 666})
+		p := NewPool(n)
+		defer p.Close()
 
-			if _, err := p.Call(addr, &wire.Ping{Seq: 1}); err != nil {
-				t.Fatalf("warmup call: %v", err)
-			}
-			_, err := p.Call(addr, &wire.Ping{Seq: 666})
-			re, ok := err.(*RemoteError)
-			if !ok || re.Code != wire.StatusInternal {
-				t.Fatalf("panic call: err = %v, want StatusInternal RemoteError", err)
-			}
-			if _, err := p.Call(addr, &wire.Ping{Seq: 2}); err != nil {
-				t.Fatalf("call after panic: %v", err)
-			}
-			// The connection must have survived the panic: no redial
-			// beyond the lazily-dialed shared set (mux) or the one
-			// idle conn (ordered).
-			want := int64(MuxConnsPerAddr)
-			if !mode.mux {
-				want = 1
-			}
-			if d := counter(t, p, "pool.dials"); d > want {
-				t.Errorf("pool.dials = %d, want <= %d (conn should survive the panic)", d, want)
-			}
-		})
-	}
+		if _, err := p.Call(addr, &wire.Ping{Seq: 1}); err != nil {
+			t.Fatalf("warmup call: %v", err)
+		}
+		_, err := p.Call(addr, &wire.Ping{Seq: 666})
+		re, ok := err.(*RemoteError)
+		if !ok || re.Code != wire.StatusInternal {
+			t.Fatalf("panic call: err = %v, want StatusInternal RemoteError", err)
+		}
+		if _, err := p.Call(addr, &wire.Ping{Seq: 2}); err != nil {
+			t.Fatalf("call after panic: %v", err)
+		}
+		// The connection must have survived the panic: no redial
+		// beyond the lazily-dialed shared set.
+		want := int64(MuxConnsPerAddr)
+		if d := counter(t, p, "pool.dials"); d > want {
+			t.Errorf("pool.dials = %d, want <= %d (conn should survive the panic)", d, want)
+		}
+	})
 }
 
 // Streams over mux keep the pipelined request-order contract, and
 // Release with responses still pending must not poison the shared
 // connection for subsequent callers.
 func TestStreamOverMux(t *testing.T) {
-	n, addr, _ := startPongServer(t, &pongHandler{}, true)
+	n, addr, _ := startPongServer(t, &pongHandler{})
 	p := NewPool(n)
 	defer p.Close()
 
@@ -326,87 +209,7 @@ func TestMuxSurvivesServerRestart(t *testing.T) {
 	if _, err := p.Call("restart", &wire.Ping{Seq: 2}); err != nil {
 		t.Fatalf("call after restart: %v", err)
 	}
-	if c := counter(t, p, "pool.mux.handshakes"); c < 2 {
-		t.Errorf("pool.mux.handshakes = %d, want >= 2 (re-handshake after restart)", c)
+	if c := counter(t, p, "pool.dials"); c < 2 {
+		t.Errorf("pool.dials = %d, want >= 2 (redial after restart)", c)
 	}
-}
-
-// Idle ordered connections past the TTL are reaped instead of reused; a
-// shorter idle age triggers a liveness probe that catches dead servers
-// without burning a round trip on them.
-func TestIdleConnReaping(t *testing.T) {
-	t.Run("ttl", func(t *testing.T) {
-		n, addr, _ := startPongServer(t, &pongHandler{}, false)
-		p := NewPool(n)
-		p.DisableMux()
-		p.SetIdleTTL(time.Millisecond, time.Hour)
-		defer p.Close()
-
-		if _, err := p.Call(addr, &wire.Ping{Seq: 1}); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(10 * time.Millisecond)
-		if _, err := p.Call(addr, &wire.Ping{Seq: 2}); err != nil {
-			t.Fatal(err)
-		}
-		if c := counter(t, p, "pool.idle.expired"); c != 1 {
-			t.Errorf("pool.idle.expired = %d, want 1", c)
-		}
-		if c := counter(t, p, "pool.dials"); c != 2 {
-			t.Errorf("pool.dials = %d, want 2", c)
-		}
-	})
-	t.Run("probe", func(t *testing.T) {
-		n := transport.NewInproc()
-		l, err := n.Listen("probe")
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := NewServer(l, &pongHandler{})
-		srv.Start()
-
-		p := NewPool(n)
-		p.DisableMux()
-		p.SetIdleTTL(time.Hour, 0) // probe every idle conn regardless of age
-		defer p.Close()
-
-		if _, err := p.Call("probe", &wire.Ping{Seq: 1}); err != nil {
-			t.Fatal(err)
-		}
-		srv.Close() // the idle conn is now dead
-		l2, err := n.Listen("probe")
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv2 := NewServer(l2, &pongHandler{})
-		srv2.Start()
-		defer srv2.Close()
-
-		if _, err := p.Call("probe", &wire.Ping{Seq: 2}); err != nil {
-			t.Fatalf("call after restart: %v", err)
-		}
-		if c := counter(t, p, "pool.idle.expired"); c != 1 {
-			t.Errorf("pool.idle.expired = %d, want 1 (probe should catch the dead conn)", c)
-		}
-		if c := counter(t, p, "pool.stale.retries"); c != 0 {
-			t.Errorf("pool.stale.retries = %d, want 0 (probe should pre-empt the failed round trip)", c)
-		}
-	})
-	t.Run("fresh conn reused untouched", func(t *testing.T) {
-		n, addr, _ := startPongServer(t, &pongHandler{}, false)
-		p := NewPool(n)
-		p.DisableMux()
-		defer p.Close()
-		for seq := uint64(1); seq <= 5; seq++ {
-			if _, err := p.Call(addr, &wire.Ping{Seq: seq}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if c := counter(t, p, "pool.dials"); c != 1 {
-			t.Errorf("pool.dials = %d, want 1", c)
-		}
-		if c := counter(t, p, "pool.idle.reuse"); c != 4 {
-			t.Errorf("pool.idle.reuse = %d, want 4", c)
-		}
-	})
 }

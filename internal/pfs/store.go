@@ -1,11 +1,6 @@
 package pfs
 
 import (
-	"errors"
-	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"sync"
 
 	"dosas/internal/wire"
@@ -120,137 +115,3 @@ func (s *MemStore) Remove(handle uint64) error {
 
 // Close implements Store.
 func (s *MemStore) Close() error { return nil }
-
-// FileStore keeps each handle's stream in one file under a directory,
-// giving a data server durability across restarts. Open descriptors are
-// held in a capped LRU (see fdCache), so a long-lived server touching
-// many handles stays under its rlimit. ExtentStore is the preferred
-// disk backend — it also serves zero-copy payloads — but FileStore's
-// one-file-per-handle layout remains both as the v0 format and as the
-// bench baseline the zero-copy path is measured against.
-type FileStore struct {
-	dir  string
-	sync bool
-	fds  *fdCache
-}
-
-// FileStoreConfig configures a FileStore.
-type FileStoreConfig struct {
-	// Dir roots the store; created if needed.
-	Dir string
-	// FDCacheSize caps lazily opened descriptors (default
-	// DefaultFDCacheSize).
-	FDCacheSize int
-	// Sync fsyncs the backing file after every write. Off by default:
-	// the page cache absorbs write bursts and the paper's workloads are
-	// re-runnable; turn it on (-fsync) for durability-sensitive runs.
-	Sync bool
-}
-
-// NewFileStore opens (creating if needed) a store rooted at dir with
-// default options.
-func NewFileStore(dir string) (*FileStore, error) {
-	return NewFileStoreConfig(FileStoreConfig{Dir: dir})
-}
-
-// NewFileStoreConfig opens (creating if needed) a store per cfg.
-func NewFileStoreConfig(cfg FileStoreConfig) (*FileStore, error) {
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("pfs: filestore: %w", err)
-	}
-	return &FileStore{dir: cfg.Dir, sync: cfg.Sync, fds: newFDCache(cfg.FDCacheSize)}, nil
-}
-
-func (s *FileStore) path(handle uint64) string {
-	return filepath.Join(s.dir, fmt.Sprintf("h%016x.dat", handle))
-}
-
-// file acquires the cached descriptor for handle, opening or creating
-// it. The caller must release the returned entry.
-func (s *FileStore) file(handle uint64, create bool) (*fdEntry, error) {
-	return s.fds.acquire(fdKey{handle: handle}, func() (*os.File, error) {
-		flags := os.O_RDWR
-		if create {
-			flags |= os.O_CREATE
-		}
-		return os.OpenFile(s.path(handle), flags, 0o644)
-	})
-}
-
-// ReadAt implements Store.
-func (s *FileStore) ReadAt(handle uint64, p []byte, off uint64) (int, error) {
-	e, err := s.file(handle, false)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil
-		}
-		return 0, err
-	}
-	defer s.fds.release(e)
-	n, err := e.f.ReadAt(p, int64(off))
-	if errors.Is(err, io.EOF) {
-		// Short read at end of stream is not an error at this layer.
-		return n, nil
-	}
-	return n, err
-}
-
-// WriteAt implements Store.
-func (s *FileStore) WriteAt(handle uint64, p []byte, off uint64) (int, error) {
-	e, err := s.file(handle, true)
-	if err != nil {
-		return 0, err
-	}
-	defer s.fds.release(e)
-	n, err := e.f.WriteAt(p, int64(off))
-	if err == nil && s.sync {
-		err = e.f.Sync()
-	}
-	return n, err
-}
-
-// Size implements Store.
-func (s *FileStore) Size(handle uint64) uint64 {
-	e, err := s.file(handle, false)
-	if err != nil {
-		return 0
-	}
-	defer s.fds.release(e)
-	fi, err := e.f.Stat()
-	if err != nil {
-		return 0
-	}
-	return uint64(fi.Size())
-}
-
-// Truncate implements Store.
-func (s *FileStore) Truncate(handle uint64, size uint64) error {
-	e, err := s.file(handle, false)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return err
-	}
-	defer s.fds.release(e)
-	if err := e.f.Truncate(int64(size)); err != nil {
-		return err
-	}
-	if s.sync {
-		return e.f.Sync()
-	}
-	return nil
-}
-
-// Remove implements Store.
-func (s *FileStore) Remove(handle uint64) error {
-	s.fds.invalidate(fdKey{handle: handle})
-	err := os.Remove(s.path(handle))
-	if os.IsNotExist(err) {
-		return nil
-	}
-	return err
-}
-
-// Close implements Store.
-func (s *FileStore) Close() error { return s.fds.closeAll() }

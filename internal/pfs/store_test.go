@@ -10,11 +10,6 @@ import (
 // storeImpls builds one of each store implementation for shared tests.
 func storeImpls(t *testing.T) map[string]Store {
 	t.Helper()
-	fs, err := NewFileStore(filepath.Join(t.TempDir(), "objs"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { fs.Close() })
 	// Small extents so multi-extent paths get exercised by ordinary ops.
 	es, err := NewExtentStore(ExtentConfig{Dir: filepath.Join(t.TempDir(), "ext"), ExtentSize: 8})
 	if err != nil {
@@ -23,7 +18,6 @@ func storeImpls(t *testing.T) map[string]Store {
 	t.Cleanup(func() { es.Close() })
 	return map[string]Store{
 		"mem":    NewMemStore(),
-		"file":   fs,
 		"extent": es,
 	}
 }
@@ -101,18 +95,18 @@ func TestStoreIsolationBetweenHandles(t *testing.T) {
 	}
 }
 
-// Property: mem and file stores agree on any sequence of writes followed
-// by reads.
+// Property: mem and extent stores agree on any sequence of writes
+// followed by reads.
 func TestStoresAgreeProperty(t *testing.T) {
 	type op struct {
 		Off  uint16
 		Data []byte
 	}
-	fs, err := NewFileStore(filepath.Join(t.TempDir(), "agree"))
+	es, err := NewExtentStore(ExtentConfig{Dir: filepath.Join(t.TempDir(), "agree")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fs.Close()
+	defer es.Close()
 	ms := NewMemStore()
 	var handle uint64
 	f := func(ops []op, readOff uint16, readLen uint8) bool {
@@ -122,15 +116,15 @@ func TestStoresAgreeProperty(t *testing.T) {
 				o.Data = o.Data[:512]
 			}
 			ms.WriteAt(handle, o.Data, uint64(o.Off))
-			fs.WriteAt(handle, o.Data, uint64(o.Off))
+			es.WriteAt(handle, o.Data, uint64(o.Off))
 		}
-		if ms.Size(handle) != fs.Size(handle) {
+		if ms.Size(handle) != es.Size(handle) {
 			return false
 		}
 		a := make([]byte, readLen)
 		b := make([]byte, readLen)
 		na, _ := ms.ReadAt(handle, a, uint64(readOff))
-		nb, _ := fs.ReadAt(handle, b, uint64(readOff))
+		nb, _ := es.ReadAt(handle, b, uint64(readOff))
 		return na == nb && bytes.Equal(a[:na], b[:nb])
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

@@ -629,26 +629,6 @@ func FormatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', 4, 64)
 }
 
-// EncodeAlerts marshals alerts as the canonical JSON array.
-func EncodeAlerts(alerts []Alert) ([]byte, error) {
-	if len(alerts) == 0 {
-		return []byte("[]"), nil
-	}
-	return json.Marshal(alerts)
-}
-
-// DecodeAlerts is the inverse of EncodeAlerts.
-func DecodeAlerts(data []byte) ([]Alert, error) {
-	if len(data) == 0 {
-		return nil, nil
-	}
-	var out []Alert
-	if err := json.Unmarshal(data, &out); err != nil {
-		return nil, fmt.Errorf("slo: decode alerts: %w", err)
-	}
-	return out, nil
-}
-
 // FormatAlerts renders the table dosasctl alerts prints: one row per
 // rule, sorted node-major then rule, states upper-cased so FIRING
 // stands out.

@@ -1,7 +1,5 @@
 package telemetry
 
-import "encoding/json"
-
 // Check is one named readiness probe inside a HealthReport. OK=false
 // marks the resource degraded; Detail says why (or gives the healthy
 // reading, so operators see the margin as well as the verdict).
@@ -45,25 +43,4 @@ func (h HealthReport) Failing() []string {
 		}
 	}
 	return out
-}
-
-// EncodeChecks marshals checks to a JSON array.
-func EncodeChecks(checks []Check) ([]byte, error) {
-	if checks == nil {
-		checks = []Check{}
-	}
-	return json.Marshal(checks)
-}
-
-// DecodeChecks parses the payload produced by EncodeChecks. An empty
-// payload decodes to no checks.
-func DecodeChecks(b []byte) ([]Check, error) {
-	if len(b) == 0 {
-		return nil, nil
-	}
-	var checks []Check
-	if err := json.Unmarshal(b, &checks); err != nil {
-		return nil, err
-	}
-	return checks, nil
 }

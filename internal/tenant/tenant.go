@@ -17,7 +17,6 @@ package tenant
 
 import (
 	"container/list"
-	"encoding/json"
 	"sort"
 	"sync"
 )
@@ -144,27 +143,6 @@ func Merge(sets ...[]Usage) []Usage {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
 	return out
-}
-
-// EncodeUsage marshals a usage snapshot to a JSON array.
-func EncodeUsage(rows []Usage) ([]byte, error) {
-	if rows == nil {
-		rows = []Usage{}
-	}
-	return json.Marshal(rows)
-}
-
-// DecodeUsage parses the JSON array produced by EncodeUsage. An empty
-// payload decodes to no rows.
-func DecodeUsage(b []byte) ([]Usage, error) {
-	if len(b) == 0 {
-		return nil, nil
-	}
-	var rows []Usage
-	if err := json.Unmarshal(b, &rows); err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 type entry struct {

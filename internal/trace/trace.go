@@ -317,27 +317,6 @@ func (r *Recorder) WriteJSON(w io.Writer) error {
 	return enc.Encode(evs)
 }
 
-// EncodeEvents marshals events to the JSON array format used on the wire.
-func EncodeEvents(evs []Event) ([]byte, error) {
-	if evs == nil {
-		evs = []Event{}
-	}
-	return json.Marshal(evs)
-}
-
-// DecodeEvents parses the JSON array format produced by EncodeEvents /
-// WriteJSON. An empty payload decodes to no events.
-func DecodeEvents(b []byte) ([]Event, error) {
-	if len(b) == 0 {
-		return nil, nil
-	}
-	var evs []Event
-	if err := json.Unmarshal(b, &evs); err != nil {
-		return nil, err
-	}
-	return evs, nil
-}
-
 // History reconstructs one request's event sequence.
 func (r *Recorder) History(reqID uint64) []Event {
 	var out []Event

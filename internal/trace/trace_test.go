@@ -193,8 +193,8 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 	if !strings.Contains(buf.String(), `"kind":"complete"`) {
 		t.Fatalf("kind not a string name:\n%s", buf.String())
 	}
-	evs, err := DecodeEvents(buf.Bytes())
-	if err != nil {
+	var evs []Event
+	if err := json.Unmarshal(buf.Bytes(), &evs); err != nil {
 		t.Fatal(err)
 	}
 	if len(evs) != 1 {
@@ -209,28 +209,6 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 	got.Time = want.Time
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, want)
-	}
-}
-
-func TestEncodeDecodeEvents(t *testing.T) {
-	// nil encodes as an empty array, not JSON null.
-	js, err := EncodeEvents(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(js) != "[]" {
-		t.Fatalf("nil encoded as %q", js)
-	}
-	evs, err := DecodeEvents(js)
-	if err != nil || len(evs) != 0 {
-		t.Fatalf("decode empty array: %v, %d events", err, len(evs))
-	}
-	// An empty payload (absent field) decodes to no events.
-	if evs, err := DecodeEvents(nil); err != nil || evs != nil {
-		t.Fatalf("decode nil payload: %v, %v", err, evs)
-	}
-	if _, err := DecodeEvents([]byte("{not json")); err == nil {
-		t.Fatal("garbage payload accepted")
 	}
 }
 

@@ -18,9 +18,10 @@ import (
 // robustness_test.go):
 //
 //   - WriteMessage owns its encode buffer internally; callers never see it.
-//   - A FrameReader owns one decode buffer; messages it returns may alias
-//     that buffer and are valid only until the next Read on the same
-//     reader. Call Own (or copy the fields) to retain them.
+//   - A MuxReader hands each reassembled message out with the pooled
+//     buffer it decodes from (MuxFrame.Buf); the message may alias that
+//     buffer until the receiver returns it with PutBuf. Call Own (or copy
+//     the fields) to retain the message longer.
 //   - The data server's read path takes a buffer with GetBuf and hands it
 //     to the response; the server returns it to the pool in PostWrite,
 //     after the response frame (a copy) has left the connection.

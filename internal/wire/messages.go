@@ -806,51 +806,6 @@ func (m *TransformResp) Decode(d *Decoder) {
 	m.Written = d.U64()
 }
 
-// HelloReq is the first message a mux-capable client sends on a fresh
-// connection: an offer to upgrade from the ordered one-exchange-at-a-time
-// framing to the multiplexed framing in mux.go. MaxVersion is the highest
-// mux protocol version the client speaks; MaxSegment is the largest
-// sub-frame payload, in bytes, it wants the server to emit. Servers that
-// predate the handshake fail to decode the unknown type and drop the
-// connection; the client then falls back to ordered mode for that peer.
-type HelloReq struct {
-	MaxVersion uint32
-	MaxSegment uint32
-}
-
-func (*HelloReq) Type() MsgType { return MsgHelloReq }
-
-func (m *HelloReq) Encode(e *Encoder) {
-	e.PutU32(m.MaxVersion)
-	e.PutU32(m.MaxSegment)
-}
-
-func (m *HelloReq) Decode(d *Decoder) {
-	m.MaxVersion = d.U32()
-	m.MaxSegment = d.U32()
-}
-
-// HelloResp answers a HelloReq. Version 0 declines the upgrade (the
-// connection stays in ordered mode); Version >= 1 commits both sides to
-// mux framing for every subsequent byte on this connection, with bulk
-// frames segmented at MaxSegment.
-type HelloResp struct {
-	Version    uint32
-	MaxSegment uint32
-}
-
-func (*HelloResp) Type() MsgType { return MsgHelloResp }
-
-func (m *HelloResp) Encode(e *Encoder) {
-	e.PutU32(m.Version)
-	e.PutU32(m.MaxSegment)
-}
-
-func (m *HelloResp) Decode(d *Decoder) {
-	m.Version = d.U32()
-	m.MaxSegment = d.U32()
-}
-
 // InspectReq asks a node for one kind of observability data: its
 // metrics, trace ring, health, telemetry history, decision log, event
 // tail, alert table, tenant table or archived range (pfs.Inspector

@@ -73,8 +73,6 @@ func TestAllMessagesRoundTrip(t *testing.T) {
 		&TransformResp{RequestID: 12, Written: 1 << 20},
 		&LocalSizeReq{Handle: 9},
 		&LocalSizeResp{Size: 1 << 30},
-		&HelloReq{MaxVersion: MuxVersion, MaxSegment: DefaultMuxSegment},
-		&HelloResp{Version: MuxVersion, MaxSegment: 64 << 10},
 		&InspectReq{Kind: "decisions", Args: []byte(`{"limit":32,"trace_id":51966}`)},
 		&InspectResp{Node: "data-0", Role: "data",
 			Body: []byte(`{"records":[{"seq":1,"solver":"maxgain"}],"dropped":6}`)},
@@ -346,9 +344,8 @@ func TestInspectCodecQuick(t *testing.T) {
 }
 
 // The numeric message codes are the wire format: this pins every
-// surviving code, including the hello pair that sits between two runs
-// of retired numbers, and checks that every retired number decodes as
-// an unknown type rather than as whatever now sits there.
+// surviving code and checks that every retired number decodes as an
+// unknown type rather than as whatever now sits there.
 func TestMsgTypeNumbersPinned(t *testing.T) {
 	want := map[MsgType]uint16{
 		MsgError: 1, MsgPing: 2, MsgPong: 3,
@@ -360,7 +357,6 @@ func TestMsgTypeNumbersPinned(t *testing.T) {
 		MsgActiveReadReq: 22, MsgActiveReadResp: 23, MsgProbeReq: 24, MsgProbeResp: 25,
 		MsgCancelReq: 26, MsgCancelResp: 27, MsgTransformReq: 28, MsgTransformResp: 29,
 		MsgLocalSizeReq: 30, MsgLocalSizeResp: 31,
-		MsgHelloReq: 42, MsgHelloResp: 43,
 		MsgInspectReq: 52, MsgInspectResp: 53,
 	}
 	for mt, n := range want {
@@ -378,9 +374,6 @@ func TestMsgTypeNumbersPinned(t *testing.T) {
 		t.Errorf("%d live message types, %d pinned: pin the new one", live, len(want))
 	}
 	for n := uint16(32); n <= 51; n++ {
-		if n == 42 || n == 43 {
-			continue
-		}
 		frame := []byte{2, 0, 0, 0, byte(n), byte(n >> 8)}
 		if _, err := ReadMessage(bytes.NewReader(frame)); !errors.Is(err, ErrUnknownType) {
 			t.Errorf("retired type %d: err = %v, want ErrUnknownType", n, err)

@@ -1,14 +1,15 @@
 package wire
 
-// Multiplexed framing: the post-handshake connection mode negotiated by
-// HelloReq/HelloResp (messages.go). The classic framing in wire.go is one
-// strictly ordered exchange at a time, so a 4 MB ReadResp stalls every
-// control message queued behind it. Mux framing tags every frame with a
-// stream ID and a priority class, segments bulk payloads into small
-// sub-frames, and lets a writer interleave control frames between the
-// segments of an in-flight bulk message — the BMI/HTTP/2 shape.
+// Multiplexed framing: the only connection framing. Every connection
+// speaks it from its first byte, in both directions; there is no
+// handshake. One strictly ordered exchange at a time would let a 4 MB
+// ReadResp stall every control message queued behind it, so mux framing
+// tags every frame with a stream ID and a priority class, segments bulk
+// payloads into small sub-frames, and lets a writer interleave control
+// frames between the segments of an in-flight bulk message — the
+// BMI/HTTP/2 shape.
 //
-// Mux frame layout (little-endian, after both sides commit to mux):
+// Mux frame layout (little-endian):
 //
 //	len     u32  // counts everything after itself: type..payload
 //	type    u16  // MsgType of the (whole, reassembled) message
@@ -20,7 +21,7 @@ package wire
 // A message is the concatenation of its segments' payloads in arrival
 // order; segments of distinct streams interleave freely, segments of one
 // stream never reorder (single writer per direction). The reassembled
-// payload decodes exactly like a classic frame body.
+// payload decodes exactly like a WriteMessage frame body.
 
 import (
 	"encoding/binary"
@@ -31,9 +32,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// MuxVersion is the highest mux protocol version this build speaks.
-const MuxVersion = 1
 
 // Segment sizing. DefaultMuxSegment bounds how long a control frame can
 // be stuck behind an already-started bulk write: 256 KiB is ~30 µs on a
@@ -60,6 +58,11 @@ const (
 	// maxMuxAssembling bounds concurrently half-received streams per
 	// connection; beyond it the peer is abusing the protocol.
 	maxMuxAssembling = 1024
+
+	// muxReadStep bounds how far the reader grows a stream's buffer
+	// ahead of the bytes actually received. Segments this repository's
+	// writers emit (≤ DefaultMuxSegment + 25%) fit in one step.
+	muxReadStep = 1 << 20
 )
 
 // ErrMuxClosed is returned by Enqueue after Close.
@@ -151,11 +154,8 @@ type MuxWriter struct {
 	OnError   func(error)
 
 	// Stats, if set before the first Enqueue, counts how bulk bodies
-	// moved (sendfile/writev/copied). Plain disables the by-reference
-	// payload path: payload-carrying messages are materialized into
-	// their frame buffer like any other (A/B benchmarking).
+	// moved (sendfile/writev/copied).
 	Stats *FrameStats
-	Plain bool
 
 	// scratch holds the segment header of by-reference frames (their
 	// buf has no room for in-place clobbering); vecs is the reusable
@@ -197,7 +197,8 @@ func NewMuxWriter(w io.Writer, segment int) *MuxWriter {
 // duration of writing this frame (as a plain WriteMessage would), but
 // never behind another caller's queued bulk.
 func (mw *MuxWriter) Enqueue(m Message, stream uint32, done func(error)) error {
-	if pc, ok := m.(payloadCarrier); ok && !mw.Plain {
+	pc, carrier := m.(payloadCarrier)
+	if carrier {
 		data, p := pc.bulkRef()
 		if p != nil {
 			return mw.enqueueRef(pc, p, stream, done)
@@ -226,15 +227,10 @@ func (mw *MuxWriter) Enqueue(m Message, stream uint32, done func(error)) error {
 		}
 		return err
 	}
-	if pc, ok := m.(payloadCarrier); ok {
-		// The bulk body was staged through the frame buffer (MemStore
-		// reads, and everything in Plain mode).
-		data, p := pc.bulkRef()
-		if p != nil {
-			mw.Stats.addCopied(p.Len())
-		} else {
-			mw.Stats.addCopied(int64(len(data)))
-		}
+	if carrier {
+		// The memory-backed bulk body was staged through the frame buffer.
+		data, _ := pc.bulkRef()
+		mw.Stats.addCopied(int64(len(data)))
 	}
 	f := &muxFrame{t: m.Type(), stream: stream, class: ClassOf(m.Type()), buf: e.buf, done: done,
 		cancel: cancelFlagOf(m)}
@@ -638,7 +634,7 @@ func (mr *MuxReader) Read() (MuxFrame, error) {
 			if more {
 				hint = 2 * plen
 			}
-			a = &muxAsm{t: t, class: class, buf: GetBuf(hint)[:0]}
+			a = &muxAsm{t: t, class: class, buf: GetBuf(min(hint, muxReadStep))[:0]}
 		} else if a.t != t {
 			return MuxFrame{}, fmt.Errorf("wire: mux segment type changed mid-stream (%v then %v)", a.t, t)
 		}
@@ -646,18 +642,24 @@ func (mr *MuxReader) Read() (MuxFrame, error) {
 		if need > MaxFrameSize {
 			return MuxFrame{}, ErrFrameTooLarge
 		}
-		if cap(a.buf) < need {
-			nb := GetBuf(need)[:len(a.buf)]
-			copy(nb, a.buf)
-			PutBuf(a.buf)
-			a.buf = nb
+		// Grow toward need only as the bytes arrive, muxReadStep at a
+		// time: the header's length is the peer's claim, and trusting it
+		// up front would let 12 bytes pin up to MaxFrameSize of memory.
+		for len(a.buf) < need {
+			end := min(need, len(a.buf)+muxReadStep)
+			if cap(a.buf) < end {
+				nb := GetBuf(end)[:len(a.buf)]
+				copy(nb, a.buf)
+				PutBuf(a.buf)
+				a.buf = nb
+			}
+			if _, err := io.ReadFull(mr.r, a.buf[len(a.buf):end]); err != nil {
+				PutBuf(a.buf)
+				delete(mr.asm, stream)
+				return MuxFrame{}, err
+			}
+			a.buf = a.buf[:end]
 		}
-		if _, err := io.ReadFull(mr.r, a.buf[len(a.buf):need]); err != nil {
-			PutBuf(a.buf)
-			delete(mr.asm, stream)
-			return MuxFrame{}, err
-		}
-		a.buf = a.buf[:need]
 
 		if more {
 			if _, held := mr.asm[stream]; !held {

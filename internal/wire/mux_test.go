@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -374,4 +375,53 @@ func TestMuxReaderTypeChangeMidStream(t *testing.T) {
 	if _, err := mr.Read(); err == nil {
 		t.Fatal("type change mid-stream not rejected")
 	}
+}
+
+// A segment header's length is the peer's claim. The reader must grow
+// its buffer only as bytes arrive: a 12-byte header announcing a
+// near-MaxFrameSize segment and then hanging up must not cost that much
+// memory, while a genuine segment larger than one read step still
+// assembles intact.
+func TestMuxReaderBoundsAllocationToReceivedBytes(t *testing.T) {
+	hdr := func(n int, more bool) []byte {
+		var h [muxHdrSize]byte
+		binary.LittleEndian.PutUint32(h[0:4], uint32(muxOverhead+n))
+		binary.LittleEndian.PutUint16(h[4:6], uint16(MsgReadResp))
+		binary.LittleEndian.PutUint32(h[6:10], 1)
+		h[10] = ClassBulk
+		if more {
+			h[11] = FlagMore
+		}
+		return h[:]
+	}
+	lie := append(hdr(MaxFrameSize-muxOverhead, true), 1, 2, 3)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 4; i++ {
+		mr := NewMuxReader(bytes.NewReader(lie))
+		if _, err := mr.Read(); err == nil {
+			t.Fatal("truncated segment decoded")
+		}
+		mr.Close()
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4*2*muxReadStep {
+		t.Errorf("4 lying headers allocated %d bytes, want <= %d", got, 4*2*muxReadStep)
+	}
+
+	var e Encoder
+	data := make([]byte, 3*muxReadStep+5)
+	rand.New(rand.NewSource(4)).Read(data)
+	(&ReadResp{Data: data, EOF: true}).Encode(&e)
+	mr := NewMuxReader(bytes.NewReader(append(hdr(len(e.buf), false), e.buf...)))
+	defer mr.Close()
+	f, err := mr.Read()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rr := f.Msg.(*ReadResp); !bytes.Equal(rr.Data, data) || !rr.EOF {
+		t.Fatal("multi-step segment reassembled wrong")
+	}
+	PutBuf(f.Buf)
 }

@@ -5,16 +5,16 @@ package wire
 // store → pooled read buffer, read buffer → frame encode buffer — before
 // the socket write copies them a third time into kernel space. A Payload
 // instead describes where the bytes live (extent files on disk, for the
-// extent store) and lets each framing layer move them directly: the frame
-// header and trailer are encoded into a small pooled buffer, coalesced
-// with memory-backed bodies via vectored writes (net.Buffers/writev), and
+// extent store) and lets the mux writer move them directly: the frame's
+// head and tail are encoded into a small pooled buffer and go out with
+// each segment header in one vectored write (net.Buffers/writev), and
 // file-backed bodies are pushed with sendfile(2) so they travel page
 // cache → socket without ever entering user space.
 //
 // Ownership: the creator of a Payload (the data server's read handler)
 // closes it, via PostWrite, after the response frame has left the
-// connection — exactly the PoolBuf lifecycle. The framing layers never
-// close payloads; they only read ranges.
+// connection — exactly the PoolBuf lifecycle. The mux writer never
+// closes payloads; it only reads ranges.
 
 import (
 	"errors"
@@ -59,7 +59,7 @@ type FrameStats struct {
 	// with a by-reference body (one copy saved each).
 	WritevCalls atomic.Int64
 	// CopiedBytes counts payload bytes staged through user-space buffers
-	// by the framing layer: inline frame encodes of bulk bodies and the
+	// by the mux writer: inline frame encodes of bulk bodies and the
 	// pooled-copy fallback for payloads on non-TCP connections.
 	CopiedBytes atomic.Int64
 	// CancelledBytes counts body bytes zero-filled because the response
@@ -115,13 +115,13 @@ func cancelFlagOf(m Message) *atomic.Bool {
 func cancelled(f *atomic.Bool) bool { return f != nil && f.Load() }
 
 // payloadCarrier is implemented by bulk messages whose wire body is a
-// single length-prefixed byte string that the framing layers may write by
+// single length-prefixed byte string that the mux writer may write by
 // reference instead of materializing in the encode buffer. The split
 // encode must concatenate to exactly the bytes Encode would produce:
 // encodePre (everything before the body bytes, including the body's
 // length prefix) + body + encodePost (everything after). That keeps the
-// frame byte-identical to the classic path, so receivers — old peers
-// included — need no changes.
+// segments byte-identical to an inline encode, so receivers cannot tell
+// which path the sender took.
 type payloadCarrier interface {
 	Message
 	// bulkRef returns the body by reference: the raw bytes for a
@@ -134,10 +134,6 @@ type payloadCarrier interface {
 	// encodePost appends the wire bytes following the body.
 	encodePost(e *Encoder)
 }
-
-// vectoredMin is the smallest memory-backed body worth a vectored write;
-// below it the inline encode copy is cheaper than assembling iovecs.
-const vectoredMin = 16 << 10
 
 // errPayloadRange is returned by WriteRange for out-of-bounds requests.
 var errPayloadRange = errors.New("wire: payload range out of bounds")
@@ -286,8 +282,7 @@ func writeZeros(w io.Writer, n int64, st *FrameStats) error {
 
 // PutPayload appends a length-prefixed byte string whose bytes come from
 // p — the inline fallback for encode paths without a streaming fast path
-// (classic WriteMessage below the vectored threshold, client-side
-// re-encodes). The materialization is itself a copy, so callers that
+// (WriteMessage, client-side re-encodes). The materialization is itself a copy, so callers that
 // count copies do so at their layer.
 func (e *Encoder) PutPayload(p Payload) {
 	if e.err != nil {

@@ -25,57 +25,6 @@ func tempPayloadFile(t *testing.T, data []byte) *os.File {
 	return f
 }
 
-// TestPayloadFrameByteIdentity pins the by-reference contract: a ReadResp
-// carrying a file-backed Payload must put the exact same bytes on the wire
-// as the same response carrying the data inline — for both the classic
-// ordered framing and the mux framing. Receivers never learn which path
-// the sender took.
-func TestPayloadFrameByteIdentity(t *testing.T) {
-	sizes := []int{1, 100, vectoredMin - 1, vectoredMin, vectoredMin + 1, 200_000}
-	for _, n := range sizes {
-		data := make([]byte, n)
-		rng := rand.New(rand.NewSource(int64(n)))
-		rng.Read(data)
-		f := tempPayloadFile(t, data)
-
-		inline := &ReadResp{Data: data, EOF: true}
-		byref := &ReadResp{
-			Payload: NewFilePayload([]FileSection{{F: f, Off: 0, N: int64(n)}}, nil),
-			EOF:     true,
-		}
-
-		// Ordered framing.
-		var want, got bytes.Buffer
-		if err := WriteMessageOpts(&want, inline, WriteOptions{Plain: true}); err != nil {
-			t.Fatal(err)
-		}
-		var st FrameStats
-		if err := WriteMessageOpts(&got, byref, WriteOptions{Stats: &st}); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(want.Bytes(), got.Bytes()) {
-			t.Fatalf("n=%d: ordered by-ref frame differs from inline (%d vs %d bytes)",
-				n, got.Len(), want.Len())
-		}
-		// A buffer is not a TCP conn, so the bytes staged through the
-		// copy fallback; they must still be accounted.
-		if st.CopiedBytes.Load() != int64(n) {
-			t.Errorf("n=%d: copied_bytes = %d, want %d", n, st.CopiedBytes.Load(), n)
-		}
-
-		// Decode round trip.
-		m, err := ReadMessage(bytes.NewReader(got.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rr, ok := m.(*ReadResp)
-		if !ok || !bytes.Equal(rr.Data, data) || !rr.EOF {
-			t.Fatalf("n=%d: by-ref frame decoded wrong", n)
-		}
-		byref.Payload.Close()
-	}
-}
-
 // TestPayloadMuxByteIdentity checks the mux framing: a payload-bearing
 // ReadResp segments into the same sub-frame stream as the inline encoding.
 func TestPayloadMuxByteIdentity(t *testing.T) {
@@ -87,7 +36,6 @@ func TestPayloadMuxByteIdentity(t *testing.T) {
 
 		var want, got bytes.Buffer
 		mwInline := NewMuxWriter(&want, MinMuxSegment)
-		mwInline.Plain = true
 		if err := mwInline.Enqueue(&ReadResp{Data: data, EOF: true}, 7, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -196,41 +144,6 @@ func TestFilePayloadSubRange(t *testing.T) {
 		if !bytes.Equal(buf.Bytes(), full[r[0]:r[0]+r[1]]) {
 			t.Fatalf("range %v: content mismatch", r)
 		}
-	}
-}
-
-// TestWritevStats: memory-backed bulk data at or above vectoredMin goes
-// out through net.Buffers and counts a vectored write; smaller frames and
-// Plain mode stay on the contiguous path.
-func TestWritevStats(t *testing.T) {
-	big := &ReadResp{Data: make([]byte, vectoredMin)}
-	small := &ReadResp{Data: make([]byte, 16)}
-
-	var st FrameStats
-	var buf bytes.Buffer
-	if err := WriteMessageOpts(&buf, big, WriteOptions{Stats: &st}); err != nil {
-		t.Fatal(err)
-	}
-	if st.WritevCalls.Load() != 1 {
-		t.Errorf("writev_calls = %d after big frame, want 1", st.WritevCalls.Load())
-	}
-	if err := WriteMessageOpts(&buf, small, WriteOptions{Stats: &st}); err != nil {
-		t.Fatal(err)
-	}
-	if st.WritevCalls.Load() != 1 {
-		t.Errorf("writev_calls = %d after small frame, want still 1", st.WritevCalls.Load())
-	}
-	if st.CopiedBytes.Load() != 16 {
-		t.Errorf("copied_bytes = %d, want 16 (small inline frame only)", st.CopiedBytes.Load())
-	}
-
-	var plain bytes.Buffer
-	stBefore := st.WritevCalls.Load()
-	if err := WriteMessageOpts(&plain, big, WriteOptions{Stats: &st, Plain: true}); err != nil {
-		t.Fatal(err)
-	}
-	if st.WritevCalls.Load() != stBefore {
-		t.Error("Plain mode still used the vectored path")
 	}
 }
 

@@ -82,90 +82,6 @@ func TestDecoderInnerLengthOverrun(t *testing.T) {
 	}
 }
 
-// Property: the pooled FrameReader survives arbitrary garbage exactly
-// like ReadMessage does — no panic, no buffer-state corruption that
-// poisons later reads. After the garbage, a valid frame on a fresh
-// reader must still decode (the pool saw no torn buffers).
-func TestFrameReaderNeverPanicsOnGarbage(t *testing.T) {
-	f := func(seed int64, n uint16) bool {
-		rng := rand.New(rand.NewSource(seed))
-		raw := make([]byte, int(n)%4096)
-		rng.Read(raw)
-		fr := NewFrameReader(bytes.NewReader(raw))
-		for {
-			if _, err := fr.Read(); err != nil {
-				break // any error path is fine; surviving is the property
-			}
-		}
-		fr.Close()
-		var buf bytes.Buffer
-		if err := WriteMessage(&buf, &ReadReq{Handle: 1, Length: 64}); err != nil {
-			return false
-		}
-		fr2 := NewFrameReader(&buf)
-		defer fr2.Close()
-		m, err := fr2.Read()
-		if err != nil {
-			return false
-		}
-		rr, ok := m.(*ReadReq)
-		return ok && rr.Handle == 1 && rr.Length == 64
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: random well-formed messages round-trip byte-exactly through
-// the pooled encode path and a FrameReader that is reused across many
-// frames of different sizes (forcing buffer growth and pool churn).
-func TestFrameReaderPooledRoundTripFuzz(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		var stream bytes.Buffer
-		var sent []Message
-		for i := 0; i < 16; i++ {
-			data := make([]byte, rng.Intn(8192))
-			rng.Read(data)
-			var m Message
-			switch rng.Intn(3) {
-			case 0:
-				m = &ReadResp{Data: data, EOF: rng.Intn(2) == 0}
-			case 1:
-				m = &WriteReq{Handle: rng.Uint64(), Offset: rng.Uint64(), Data: data}
-			default:
-				m = &ActiveReadResp{RequestID: rng.Uint64(), Result: data}
-			}
-			if err := WriteMessage(&stream, m); err != nil {
-				return false
-			}
-			sent = append(sent, m)
-		}
-		fr := NewFrameReader(&stream)
-		defer fr.Close()
-		for _, want := range sent {
-			got, err := fr.Read()
-			if err != nil {
-				return false
-			}
-			var wb, gb bytes.Buffer
-			if err := WriteMessage(&wb, want); err != nil {
-				return false
-			}
-			if err := WriteMessage(&gb, got); err != nil {
-				return false
-			}
-			if !bytes.Equal(wb.Bytes(), gb.Bytes()) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func BenchmarkWriteMessageSmall(b *testing.B) {
 	msg := &ReadReq{Handle: 1, Offset: 1 << 20, Length: 65536}
 	var buf bytes.Buffer

@@ -63,6 +63,41 @@ func startStorm(t *testing.T, fs *dosas.FS, name string, length uint64) (stop fu
 
 // alertNamed finds one node's status for a rule — every engine carries
 // the full rule set, so the aggregate holds one entry per (node, rule).
+// waitSeriesSettled blocks until node's series holds one value across
+// its whole retained ring and the sampler has ticked again since, so the
+// SLO engine (which evaluates after each tick's samples) has judged every
+// rule over the settled ring.
+func waitSeriesSettled(t *testing.T, c *dosas.Cluster, node, series string) {
+	t.Helper()
+	var settledAt int64
+	deadline := time.Now().Add(30 * time.Second)
+	for time.Now().Before(deadline) {
+		for _, ser := range c.Series(0)[node] {
+			if ser.Name != series || len(ser.Points) == 0 {
+				continue
+			}
+			last := ser.Points[len(ser.Points)-1].UnixNano
+			switch {
+			case settledAt != 0 && last > settledAt:
+				return
+			case settledAt == 0 && allEqual(ser.Points):
+				settledAt = last
+			}
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Fatalf("%s %s never settled", node, series)
+}
+
+func allEqual(pts []dosas.SeriesPoint) bool {
+	for _, p := range pts[1:] {
+		if p.Value != pts[0].Value {
+			return false
+		}
+	}
+	return true
+}
+
 func alertNamed(alerts []dosas.Alert, node, rule string) (dosas.Alert, bool) {
 	for _, a := range alerts {
 		if a.Node == node && a.Rule == rule {
@@ -239,10 +274,12 @@ func TestBuiltinRulesQuietAndStorm(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Let the telemetry ring turn over once (600 points at a 2 ms tick)
-	// so warm-up transients — the estimator's first error samples — age
-	// out of the rate-of-change windows before judging steady state.
-	time.Sleep(1500 * time.Millisecond)
+	// Let the warm-up transients — the estimator's first error samples —
+	// age out of the rate-of-change windows before judging steady state.
+	// The ring holds 600 points, nominally 1.2 s at a 2 ms tick but longer
+	// when ticks lag under load, so wait for the turnover itself rather
+	// than a fixed time.
+	waitSeriesSettled(t, c, "data-0", "est.error.pct")
 	for _, a := range c.Alerts() {
 		if a.State == "pending" || a.State == "firing" {
 			t.Fatalf("quiet cluster raised %s alert %q: %+v", a.State, a.Rule, a)
